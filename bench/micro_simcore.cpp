@@ -1,7 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the simulator substrate:
-// event-queue throughput, flow reallocation cost, and an end-to-end
-// chain simulation — the knobs that bound how large a cluster the
-// reproduction can sweep.
+// event-queue throughput, flow reallocation cost, the per-record check
+// kernel, and an end-to-end chain simulation — the knobs that bound how
+// large a cluster the reproduction can sweep.
 //
 // Beyond the console table, the binary emits a machine-readable summary
 // (--json_out=BENCH_simcore.json) and can gate on a checked-in baseline
@@ -14,6 +14,8 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "common/rng.hpp"
+#include "mapred/record.hpp"
 #include "obs/trace.hpp"
 #include "resources/flow_network.hpp"
 #include "sim/simulation.hpp"
@@ -161,6 +163,22 @@ void BM_TracerEmit(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kBatch);
 }
 BENCHMARK(BM_TracerEmit)->Arg(0)->Arg(1);
+
+// The per-record check kernel (MD5 + byte sum over one payload
+// expansion) runs in every payload-mode map and reduce UDF and in every
+// block and bucket checksum; checksum_of is its aggregate entry point.
+void BM_RecordChecks(benchmark::State& state) {
+  constexpr std::size_t kRecords = 4096;
+  Rng rng(0x5EC04D5ULL);
+  std::vector<mapred::Record> records(kRecords);
+  for (auto& r : records) r = mapred::Record{rng(), rng()};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(mapred::checksum_of(records));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(kRecords));
+}
+BENCHMARK(BM_RecordChecks);
 
 void BM_SticChain(benchmark::State& state) {
   for (auto _ : state) {

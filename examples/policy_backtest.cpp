@@ -5,8 +5,8 @@
 //
 //   $ ./policy_backtest
 //   $ ./policy_backtest --seed 7 --json scoreboard.json
-//   $ ./policy_backtest --bench-json BENCH_policy.json \
-//         --baseline ../bench/BENCH_policy.baseline.json
+//   $ ./policy_backtest --bench-json BENCH_policy.json --baseline B
+//     (B = ../bench/BENCH_policy.baseline.json)
 //
 // With --baseline the run fails (exit 1) if any static-policy makespan
 // regresses more than 2x against the checked-in baseline — the nightly

@@ -28,7 +28,10 @@ Cluster::Cluster(sim::Simulation& sim, res::FlowNetwork& net,
   up_.reserve(spec_.nodes);
   down_.reserve(spec_.nodes);
   for (std::uint32_t n = 0; n < spec_.nodes; ++n) {
-    const std::string tag = "n" + std::to_string(n);
+    // Appended in place: GCC 12 raises a false -Wrestrict on
+    // "n" + std::to_string(n).
+    std::string tag = "n";
+    tag += std::to_string(n);
     disk_.push_back(net_.add_link({"disk/" + tag, spec_.disk_bw,
                                    spec_.disk_alpha,
                                    spec_.disk_contention_threshold}));
@@ -44,7 +47,8 @@ Cluster::Cluster(sim::Simulation& sim, res::FlowNetwork& net,
     const Rate rack_bw =
         spec_.nic_bw * per_rack_nodes / spec_.rack_oversubscription;
     for (std::uint32_t r = 0; r < spec_.racks; ++r) {
-      const std::string tag = "r" + std::to_string(r);
+      std::string tag = "r";  // in place, as for "n" above
+      tag += std::to_string(r);
       rack_up_.push_back(net_.add_link({"rack_up/" + tag, rack_bw, 0.0}));
       rack_down_.push_back(
           net_.add_link({"rack_down/" + tag, rack_bw, 0.0}));

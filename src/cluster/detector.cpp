@@ -221,6 +221,14 @@ void FailureDetector::handle_cluster_failure(const FailureEvent& ev) {
 
 void FailureDetector::handle_cluster_recovery(NodeId n) {
   if (!started_ || stopped_) return;
+  // A node back before its suspicion deadline fired still lost whatever
+  // ran on it. Its re-registering TaskTracker tells the master so: the
+  // pending failure is delivered here, exactly once, before the reset
+  // below forgets it.
+  if (fail_time_[n] >= 0.0) {
+    record_detection_latency(n);
+    deliver(n, DetectionKind::kDeadNode);
+  }
   // A rejoined node is a fresh daemon: suspicion and undelivered loss
   // reports are moot (the middleware's recovery path re-admits it), and
   // its heartbeat loop restarts. Quarantine is sticky — ATLAS-style

@@ -8,29 +8,28 @@ constexpr std::uint32_t kInitB = 0xefcdab89u;
 constexpr std::uint32_t kInitC = 0x98badcfeu;
 constexpr std::uint32_t kInitD = 0x10325476u;
 
-// Per-round left-rotate amounts.
-constexpr int kShift[64] = {
-    7, 12, 17, 22, 7, 12, 17, 22, 7, 12, 17, 22, 7, 12, 17, 22,
-    5, 9,  14, 20, 5, 9,  14, 20, 5, 9,  14, 20, 5, 9,  14, 20,
-    4, 11, 16, 23, 4, 11, 16, 23, 4, 11, 16, 23, 4, 11, 16, 23,
-    6, 10, 15, 21, 6, 10, 15, 21, 6, 10, 15, 21, 6, 10, 15, 21};
-
-// K[i] = floor(2^32 * abs(sin(i+1))).
-constexpr std::uint32_t kSine[64] = {
-    0xd76aa478, 0xe8c7b756, 0x242070db, 0xc1bdceee, 0xf57c0faf, 0x4787c62a,
-    0xa8304613, 0xfd469501, 0x698098d8, 0x8b44f7af, 0xffff5bb1, 0x895cd7be,
-    0x6b901122, 0xfd987193, 0xa679438e, 0x49b40821, 0xf61e2562, 0xc040b340,
-    0x265e5a51, 0xe9b6c7aa, 0xd62f105d, 0x02441453, 0xd8a1e681, 0xe7d3fbc8,
-    0x21e1cde6, 0xc33707d6, 0xf4d50d87, 0x455a14ed, 0xa9e3e905, 0xfcefa3f8,
-    0x676f02d9, 0x8d2a4c8a, 0xfffa3942, 0x8771f681, 0x6d9d6122, 0xfde5380c,
-    0xa4beea44, 0x4bdecfa9, 0xf6bb4b60, 0xbebfbc70, 0x289b7ec6, 0xeaa127fa,
-    0xd4ef3085, 0x04881d05, 0xd9d4d039, 0xe6db99e5, 0x1fa27cf8, 0xc4ac5665,
-    0xf4292244, 0x432aff97, 0xab9423a7, 0xfc93a039, 0x655b59c3, 0x8f0ccc92,
-    0xffeff47d, 0x85845dd1, 0x6fa87e4f, 0xfe2ce6e0, 0xa3014314, 0x4e0811a1,
-    0xf7537e82, 0xbd3af235, 0x2ad7d2bb, 0xeb86d391};
-
 constexpr std::uint32_t rotl32(std::uint32_t x, int c) {
   return (x << c) | (x >> (32 - c));
+}
+
+// The four RFC 1321 step functions. Each step is
+//   a = b + ((a + round_fn(b, c, d) + m[g] + K) <<< s)
+// with K = floor(2^32 * abs(sin(i + 1))) for step i.
+inline void ff(std::uint32_t& a, std::uint32_t b, std::uint32_t c,
+               std::uint32_t d, std::uint32_t x, int s, std::uint32_t k) {
+  a = b + rotl32(a + ((b & c) | (~b & d)) + x + k, s);
+}
+inline void gg(std::uint32_t& a, std::uint32_t b, std::uint32_t c,
+               std::uint32_t d, std::uint32_t x, int s, std::uint32_t k) {
+  a = b + rotl32(a + ((b & d) | (c & ~d)) + x + k, s);
+}
+inline void hh(std::uint32_t& a, std::uint32_t b, std::uint32_t c,
+               std::uint32_t d, std::uint32_t x, int s, std::uint32_t k) {
+  a = b + rotl32(a + (b ^ c ^ d) + x + k, s);
+}
+inline void ii(std::uint32_t& a, std::uint32_t b, std::uint32_t c,
+               std::uint32_t d, std::uint32_t x, int s, std::uint32_t k) {
+  a = b + rotl32(a + (c ^ (b | ~d)) + x + k, s);
 }
 
 std::uint32_t load_le32(const std::uint8_t* p) {
@@ -62,29 +61,78 @@ void Md5::process_block(const std::uint8_t* block) {
   std::uint32_t m[16];
   for (int i = 0; i < 16; ++i) m[i] = load_le32(block + 4 * i);
 
+  // The RFC 1321 reference form, fully unrolled: literal shift and sine
+  // constants per step and the message-word schedule written out, so no
+  // step branches on its round or computes an index.
   std::uint32_t a = a_, b = b_, c = c_, d = d_;
-  for (int i = 0; i < 64; ++i) {
-    std::uint32_t f;
-    int g;
-    if (i < 16) {
-      f = (b & c) | (~b & d);
-      g = i;
-    } else if (i < 32) {
-      f = (d & b) | (~d & c);
-      g = (5 * i + 1) % 16;
-    } else if (i < 48) {
-      f = b ^ c ^ d;
-      g = (3 * i + 5) % 16;
-    } else {
-      f = c ^ (b | ~d);
-      g = (7 * i) % 16;
-    }
-    const std::uint32_t tmp = d;
-    d = c;
-    c = b;
-    b = b + rotl32(a + f + kSine[i] + m[g], kShift[i]);
-    a = tmp;
-  }
+  // Round 1.
+  ff(a, b, c, d, m[0], 7, 0xd76aa478);
+  ff(d, a, b, c, m[1], 12, 0xe8c7b756);
+  ff(c, d, a, b, m[2], 17, 0x242070db);
+  ff(b, c, d, a, m[3], 22, 0xc1bdceee);
+  ff(a, b, c, d, m[4], 7, 0xf57c0faf);
+  ff(d, a, b, c, m[5], 12, 0x4787c62a);
+  ff(c, d, a, b, m[6], 17, 0xa8304613);
+  ff(b, c, d, a, m[7], 22, 0xfd469501);
+  ff(a, b, c, d, m[8], 7, 0x698098d8);
+  ff(d, a, b, c, m[9], 12, 0x8b44f7af);
+  ff(c, d, a, b, m[10], 17, 0xffff5bb1);
+  ff(b, c, d, a, m[11], 22, 0x895cd7be);
+  ff(a, b, c, d, m[12], 7, 0x6b901122);
+  ff(d, a, b, c, m[13], 12, 0xfd987193);
+  ff(c, d, a, b, m[14], 17, 0xa679438e);
+  ff(b, c, d, a, m[15], 22, 0x49b40821);
+  // Round 2.
+  gg(a, b, c, d, m[1], 5, 0xf61e2562);
+  gg(d, a, b, c, m[6], 9, 0xc040b340);
+  gg(c, d, a, b, m[11], 14, 0x265e5a51);
+  gg(b, c, d, a, m[0], 20, 0xe9b6c7aa);
+  gg(a, b, c, d, m[5], 5, 0xd62f105d);
+  gg(d, a, b, c, m[10], 9, 0x02441453);
+  gg(c, d, a, b, m[15], 14, 0xd8a1e681);
+  gg(b, c, d, a, m[4], 20, 0xe7d3fbc8);
+  gg(a, b, c, d, m[9], 5, 0x21e1cde6);
+  gg(d, a, b, c, m[14], 9, 0xc33707d6);
+  gg(c, d, a, b, m[3], 14, 0xf4d50d87);
+  gg(b, c, d, a, m[8], 20, 0x455a14ed);
+  gg(a, b, c, d, m[13], 5, 0xa9e3e905);
+  gg(d, a, b, c, m[2], 9, 0xfcefa3f8);
+  gg(c, d, a, b, m[7], 14, 0x676f02d9);
+  gg(b, c, d, a, m[12], 20, 0x8d2a4c8a);
+  // Round 3.
+  hh(a, b, c, d, m[5], 4, 0xfffa3942);
+  hh(d, a, b, c, m[8], 11, 0x8771f681);
+  hh(c, d, a, b, m[11], 16, 0x6d9d6122);
+  hh(b, c, d, a, m[14], 23, 0xfde5380c);
+  hh(a, b, c, d, m[1], 4, 0xa4beea44);
+  hh(d, a, b, c, m[4], 11, 0x4bdecfa9);
+  hh(c, d, a, b, m[7], 16, 0xf6bb4b60);
+  hh(b, c, d, a, m[10], 23, 0xbebfbc70);
+  hh(a, b, c, d, m[13], 4, 0x289b7ec6);
+  hh(d, a, b, c, m[0], 11, 0xeaa127fa);
+  hh(c, d, a, b, m[3], 16, 0xd4ef3085);
+  hh(b, c, d, a, m[6], 23, 0x04881d05);
+  hh(a, b, c, d, m[9], 4, 0xd9d4d039);
+  hh(d, a, b, c, m[12], 11, 0xe6db99e5);
+  hh(c, d, a, b, m[15], 16, 0x1fa27cf8);
+  hh(b, c, d, a, m[2], 23, 0xc4ac5665);
+  // Round 4.
+  ii(a, b, c, d, m[0], 6, 0xf4292244);
+  ii(d, a, b, c, m[7], 10, 0x432aff97);
+  ii(c, d, a, b, m[14], 15, 0xab9423a7);
+  ii(b, c, d, a, m[5], 21, 0xfc93a039);
+  ii(a, b, c, d, m[12], 6, 0x655b59c3);
+  ii(d, a, b, c, m[3], 10, 0x8f0ccc92);
+  ii(c, d, a, b, m[10], 15, 0xffeff47d);
+  ii(b, c, d, a, m[1], 21, 0x85845dd1);
+  ii(a, b, c, d, m[8], 6, 0x6fa87e4f);
+  ii(d, a, b, c, m[15], 10, 0xfe2ce6e0);
+  ii(c, d, a, b, m[6], 15, 0xa3014314);
+  ii(b, c, d, a, m[13], 21, 0x4e0811a1);
+  ii(a, b, c, d, m[4], 6, 0xf7537e82);
+  ii(d, a, b, c, m[11], 10, 0xbd3af235);
+  ii(c, d, a, b, m[2], 15, 0x2ad7d2bb);
+  ii(b, c, d, a, m[9], 21, 0xeb86d391);
   a_ += a;
   b_ += b;
   c_ += c;
@@ -118,18 +166,20 @@ void Md5::update(const void* data, std::size_t len) {
 }
 
 Md5::Digest Md5::finalize() {
-  // Append 0x80, pad with zeros to 56 mod 64, then the bit length.
+  // Append 0x80, zero-fill to 56 mod 64, then the 64-bit bit length.
+  // update() never leaves a full buffer, so the 0x80 always fits; the
+  // length field only needs a second block when more than 56 bytes are
+  // buffered after it.
   const std::uint64_t bit_len = total_len_ * 8;
-  const std::uint8_t one = 0x80;
-  update(&one, 1);
-  const std::uint8_t zero = 0x00;
-  while (buffer_len_ != 56) update(&zero, 1);
-
-  std::uint8_t len_bytes[8];
+  buffer_[buffer_len_++] = 0x80;
+  if (buffer_len_ > 56) {
+    std::memset(buffer_ + buffer_len_, 0, sizeof(buffer_) - buffer_len_);
+    process_block(buffer_);
+    buffer_len_ = 0;
+  }
+  std::memset(buffer_ + buffer_len_, 0, 56 - buffer_len_);
   for (int i = 0; i < 8; ++i)
-    len_bytes[i] = static_cast<std::uint8_t>(bit_len >> (8 * i));
-  // Bypass total_len_ accounting for the length field itself.
-  std::memcpy(buffer_ + 56, len_bytes, 8);
+    buffer_[56 + i] = static_cast<std::uint8_t>(bit_len >> (8 * i));
   process_block(buffer_);
   buffer_len_ = 0;
 

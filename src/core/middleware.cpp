@@ -48,7 +48,11 @@ Middleware::Middleware(mapred::Env env, ChainSpec chain,
     // capacity frees up elsewhere in the cluster.
     env_.slots = &tenant_.scheduler->broker(tenant_.chain_id);
     env_.chain_tag = static_cast<std::uint16_t>(tenant_.chain_id + 1);
-    tag_ = "t" + std::to_string(tenant_.chain_id) + ".";
+    // Appended in place: GCC 12 raises a false -Wrestrict on
+    // "t" + std::to_string(...).
+    tag_ = "t";
+    tag_ += std::to_string(tenant_.chain_id);
+    tag_ += '.';
     tenant_.scheduler->set_kick(tenant_.chain_id, [this] {
       if (current_ != nullptr && current_->running()) current_->poke();
     });

@@ -42,20 +42,19 @@ inline void expand_payload(std::uint64_t value, std::uint8_t out[64]) {
   }
 }
 
-/// MD5-based check: first 8 bytes of MD5(payload(value)).
-inline std::uint64_t record_md5_check(const Record& r) {
-  std::uint8_t payload[64];
-  expand_payload(r.value, payload);
-  return Md5::hash64(payload, sizeof(payload));
-}
+/// The paper's two per-record correctness checks (§V-A).
+struct RecordChecks {
+  std::uint64_t md5 = 0;       // first 8 bytes of MD5(payload)
+  std::uint64_t byte_sum = 0;  // sum of all payload bytes
+};
 
-/// Byte-sum based check: sum of all payload bytes.
-inline std::uint64_t record_byte_sum(const Record& r) {
+/// Both checks over one expansion of the record's payload.
+inline RecordChecks record_checks(const Record& r) {
   std::uint8_t payload[64];
   expand_payload(r.value, payload);
-  std::uint64_t s = 0;
-  for (std::uint8_t b : payload) s += b;
-  return s;
+  std::uint64_t sum = 0;
+  for (std::uint8_t b : payload) sum += b;
+  return {Md5::hash64(payload, sizeof(payload)), sum};
 }
 
 /// Order-independent aggregate over a record multiset. Two datasets have
@@ -70,8 +69,9 @@ struct Checksum {
   std::uint64_t count = 0;
 
   void add(const Record& r) {
-    md5_acc += record_md5_check(r);
-    sum_acc += record_byte_sum(r);
+    const RecordChecks c = record_checks(r);
+    md5_acc += c.md5;
+    sum_acc += c.byte_sum;
     key_acc += mix64(r.key);
     ++count;
   }

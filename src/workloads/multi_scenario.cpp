@@ -80,7 +80,12 @@ MultiScenario::MultiScenario(MultiScenarioConfig cfg)
     chain.jobs.reserve(cfg_.base.chain_length);
     for (std::uint32_t j = 0; j < cfg_.base.chain_length; ++j) {
       core::JobTemplate t;
-      t.name = "c" + std::to_string(c) + ".job" + std::to_string(j + 1);
+      // Appended in place: GCC 12 raises a false -Wrestrict on
+      // "c" + std::to_string(c).
+      t.name = "c";
+      t.name += std::to_string(c);
+      t.name += ".job";
+      t.name += std::to_string(j + 1);
       t.num_reducers = cfg_.base.reducers_per_job;
       t.map_output_ratio = 1.0;
       t.reduce_output_ratio = 1.0;

@@ -30,13 +30,12 @@ class ChainMapper final : public mapred::MapUdf {
   void map(const mapred::Record& in, std::uint64_t job_salt,
            mapred::Emitter& out) const override {
     // The two per-record correctness computations from the paper.
-    const std::uint64_t md5_check = mapred::record_md5_check(in);
-    const std::uint64_t sum_check = mapred::record_byte_sum(in);
+    const mapred::RecordChecks checks = mapred::record_checks(in);
     // Deterministic key randomization (per record, per job).
     const std::uint64_t new_key =
         hash_combine(job_salt, hash_combine(in.key, in.value));
     // Fold the checks into the value so they flow through the chain.
-    out.emit(new_key, hash_combine(md5_check, sum_check));
+    out.emit(new_key, hash_combine(checks.md5, checks.byte_sum));
   }
 };
 
@@ -45,10 +44,9 @@ class ChainReducer final : public mapred::ReduceUdf {
   void reduce(std::uint64_t key, std::span<const std::uint64_t> values,
               std::uint64_t job_salt, mapred::Emitter& out) const override {
     for (std::uint64_t v : values) {
-      const mapred::Record r{key, v};
-      const std::uint64_t md5_check = mapred::record_md5_check(r);
-      const std::uint64_t sum_check = mapred::record_byte_sum(r);
-      out.emit(key, hash_combine(job_salt ^ md5_check, sum_check));
+      const mapred::RecordChecks checks =
+          mapred::record_checks(mapred::Record{key, v});
+      out.emit(key, hash_combine(job_salt ^ checks.md5, checks.byte_sum));
     }
   }
 };

@@ -439,7 +439,8 @@ std::string fingerprint(const core::ChainResult& r,
          std::to_string(r.nodes_recovered) + "," +
          std::to_string(r.replans) + "," + std::to_string(r.restarts) + ",";
   for (const auto& run : r.runs) {
-    out += "[" + std::to_string(static_cast<int>(run.status)) + "," +
+    out += '[';  // not "[" + ...: GCC 12 raises a false -Wrestrict
+    out += std::to_string(static_cast<int>(run.status)) + "," +
            std::to_string(run.ordinal) + "," +
            std::to_string(run.mappers_executed) + "," +
            std::to_string(run.mappers_reused) + "," +

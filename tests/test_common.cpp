@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <utility>
 
 #include "common/hash.hpp"
 #include "common/md5.hpp"
@@ -180,6 +182,52 @@ TEST(Md5, CrossesBlockBoundaries) {
 TEST(Md5, Hash64StableAndDistinct) {
   EXPECT_EQ(Md5::hash64("hello"), Md5::hash64("hello"));
   EXPECT_NE(Md5::hash64("hello"), Md5::hash64("hellp"));
+}
+
+// Lengths on both sides of the 56-byte length-field boundary of one and
+// two blocks. Byte i of each message is 'a' + i % 26; expected values
+// from
+//   python3 -c 'import hashlib; n = 55; print(hashlib.md5(
+//       "".join(chr(97 + i % 26) for i in range(n)).encode()).hexdigest())'
+TEST(Md5, PaddingEdgeDigests) {
+  const std::pair<std::size_t, const char*> cases[] = {
+      {55, "0d7ae056b2f015cd7dc67494efd658f1"},
+      {56, "31fcfb5165169eb55898e7e4cf34d19a"},
+      {57, "fd62afaf3aa1e2a52882cb464f5ccc4d"},
+      {63, "1b30c0670c15e7da3c2ba7bce77ebe99"},
+      {64, "a2eaf6295c32adc403865fd96a2f182b"},
+      {65, "eba2cce0ca8df47e62414a736b3105a2"},
+      {119, "b05187e08da41fa3ef16bd56afaafd99"},
+      {120, "62af9b597a9f55e16ab2b897387fc052"},
+      {128, "3e8c1ccbd71838ef3df4b72e57fb9bf6"},
+  };
+  for (const auto& [len, hex] : cases) {
+    std::string msg;
+    for (std::size_t i = 0; i < len; ++i)
+      msg.push_back(static_cast<char>('a' + i % 26));
+    EXPECT_EQ(Md5::to_hex(Md5::hash(msg)), hex) << "len=" << len;
+  }
+}
+
+TEST(Md5, Hash64IsLittleEndianDigestPrefix) {
+  auto prefix64 = [](const Md5::Digest& d) {
+    std::uint64_t v = 0;
+    for (int i = 7; i >= 0; --i)
+      v = (v << 8) | d[static_cast<std::size_t>(i)];
+    return v;
+  };
+  Rng rng(0x64B1'0C4ULL);
+  for (int n = 0; n < 10000; ++n) {
+    std::uint8_t payload[64];
+    for (auto& b : payload) b = static_cast<std::uint8_t>(rng());
+    const std::uint64_t h = Md5::hash64(payload, sizeof(payload));
+    ASSERT_EQ(h, prefix64(Md5::hash(payload, sizeof(payload)))) << n;
+    Md5 split;
+    const std::size_t cut = rng.below(sizeof(payload) + 1);
+    split.update(payload, cut);
+    split.update(payload + cut, sizeof(payload) - cut);
+    ASSERT_EQ(h, prefix64(split.finalize())) << n << " cut=" << cut;
+  }
 }
 
 TEST(Stats, MeanMinMax) {

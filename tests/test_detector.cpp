@@ -15,6 +15,7 @@
 #include "common/error.hpp"
 #include "core/scheduler.hpp"
 #include "fixtures.hpp"
+#include "workloads/multi_scenario.hpp"
 #include "workloads/scenario.hpp"
 
 namespace rcmp {
@@ -172,6 +173,25 @@ TEST(Detector, FailureOnSuspectedNodeIsDeliveredExactlyOnce) {
   EXPECT_EQ(d.detections[1].first, 1u);
   EXPECT_TRUE(d.reconciled.empty());
   EXPECT_FALSE(d.det.suspected(1));
+}
+
+TEST(Detector, RejoinBeforeDeadlineDeliversThePendingFailureOnce) {
+  DetectorConfig cfg;
+  cfg.heartbeat_interval = 3.0;
+  cfg.suspicion_timeout = 30.0;
+  DetectorFixture d(/*nodes=*/4, cfg);
+  // Node 1 is down for 10 s, well inside the suspicion timeout: no
+  // deadline ever finds it overdue, so only the rejoin can report it.
+  d.f.sim.schedule_after(20.0, [&] { d.cluster.kill(1); });
+  d.f.sim.schedule_after(30.0, [&] { d.cluster.recover(1); });
+  d.run_until(120.0);
+
+  ASSERT_EQ(d.detections.size(), 1u);
+  EXPECT_EQ(d.detections[0].first, 1u);
+  EXPECT_EQ(d.detections[0].second, DetectionKind::kDeadNode);
+  EXPECT_DOUBLE_EQ(d.det.last_time_to_detect(), 10.0);
+  EXPECT_EQ(d.det.suspicions(), 0u);
+  EXPECT_TRUE(d.det.schedulable(1));
 }
 
 TEST(Detector, SuspicionTimeoutShimInheritsEngineDetectTimeout) {
@@ -394,6 +414,54 @@ TEST(DetectorScenario, SameSeedDetectorChaosRunsAreByteIdentical) {
   EXPECT_EQ(trace_a, trace_b);
   EXPECT_EQ(metrics_a, metrics_b);
   EXPECT_DOUBLE_EQ(time_a, time_b);
+}
+
+// A transient node that rejoins before its suspicion deadline fires
+// never misses enough heartbeats to be suspected, yet the attempts that
+// ran on it are gone. The rejoin must report them, or no chain ever
+// re-runs them and heartbeats keep the simulation alive until the event
+// cap.
+TEST(DetectorScenario, TransientRejoinBeforeSuspicionIsStillDetected) {
+  auto cfg = testfx::multi_config(/*chains=*/4, /*nodes=*/8,
+                                  /*chain_length=*/4,
+                                  /*records_per_node=*/64);
+  cfg.base.cluster.racks = 2;
+  cfg.base.input_replication = 4;
+  std::vector<mapred::Checksum> reference;
+  {
+    workloads::MultiScenario clean(cfg);
+    const auto r = clean.run(strat(Strategy::kRcmpSplit));
+    for (std::uint32_t c = 0; c < cfg.chains; ++c) {
+      ASSERT_TRUE(r[c].completed);
+      reference.push_back(clean.final_output_checksum(c));
+    }
+  }
+
+  cfg.base.detector.enabled = true;
+  for (const SimTime downtime : {10.0, 20.0}) {
+    SCOPED_TRACE(downtime);
+    FaultSchedule plan;
+    FaultEvent ev;
+    ev.mode = FaultMode::kTransient;
+    ev.at_job_ordinal = 6;
+    ev.delay = 5.0;
+    ev.downtime = downtime;
+    plan.events.push_back(ev);
+
+    workloads::MultiScenario ms(cfg);
+    ms.sim().set_max_events(1'000'000);
+    const auto r = ms.run_chaos(strat(Strategy::kRcmpSplit), std::move(plan));
+    ASSERT_NE(ms.detector(), nullptr);
+    ASSERT_LT(downtime, ms.detector()->suspicion_timeout());
+    EXPECT_EQ(ms.chaos()->counts().transients, 1u);
+    EXPECT_EQ(ms.chaos()->counts().recoveries, 1u);
+    EXPECT_EQ(ms.detector()->suspicions(), 0u);
+    for (std::uint32_t c = 0; c < cfg.chains; ++c) {
+      ASSERT_TRUE(r[c].completed) << "chain " << c;
+      EXPECT_EQ(ms.final_output_checksum(c), reference[c]) << "chain " << c;
+    }
+    EXPECT_EQ(ms.obs().metrics.counter("audit.violations"), 0u);
+  }
 }
 
 // --- retry-backoff jitter (EngineConfig::retry_backoff_jitter) -------

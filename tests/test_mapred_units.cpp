@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <vector>
 
+#include "common/md5.hpp"
+#include "common/rng.hpp"
 #include "mapred/map_output_store.hpp"
 #include "mapred/payload_store.hpp"
 #include "mapred/record.hpp"
@@ -23,11 +26,31 @@ TEST(Record, PayloadExpansionDeterministic) {
 
 TEST(Record, ChecksDeterministicAndValueSensitive) {
   const Record r1{1, 100}, r2{1, 101};
-  EXPECT_EQ(record_md5_check(r1), record_md5_check(r1));
-  EXPECT_NE(record_md5_check(r1), record_md5_check(r2));
-  EXPECT_EQ(record_byte_sum(r1), record_byte_sum(r1));
+  EXPECT_EQ(record_checks(r1).md5, record_checks(r1).md5);
+  EXPECT_NE(record_checks(r1).md5, record_checks(r2).md5);
+  EXPECT_EQ(record_checks(r1).byte_sum, record_checks(r1).byte_sum);
   // Byte sum of 64 bytes is bounded.
-  EXPECT_LE(record_byte_sum(r1), 64u * 255u);
+  EXPECT_LE(record_checks(r1).byte_sum, 64u * 255u);
+}
+
+/// A fixed seeded record set for the kernel pins below.
+std::vector<Record> seeded_records(std::uint64_t seed, std::size_t n) {
+  Rng rng(seed);
+  std::vector<Record> recs(n);
+  for (auto& r : recs) r = Record{rng(), rng()};
+  return recs;
+}
+
+TEST(Record, FusedChecksEqualSeparateComputations) {
+  for (const Record& r : seeded_records(0xF05EDULL, 2000)) {
+    std::uint8_t payload[64];
+    expand_payload(r.value, payload);
+    std::uint64_t sum = 0;
+    for (std::uint8_t b : payload) sum += b;
+    const RecordChecks c = record_checks(r);
+    ASSERT_EQ(c.md5, Md5::hash64(payload, sizeof(payload))) << r.value;
+    ASSERT_EQ(c.byte_sum, sum) << r.value;
+  }
 }
 
 TEST(Checksum, OrderIndependent) {
@@ -48,6 +71,16 @@ TEST(Checksum, DetectsMissingAndDuplicate) {
 TEST(Checksum, DetectsKeyChangeEvenWithSameValues) {
   const std::vector<Record> a{{1, 10}}, b{{2, 10}};
   EXPECT_NE(checksum_of(a), checksum_of(b));
+}
+
+// Golden values for a fixed seeded record set: any drift in the MD5, the
+// byte sum or the payload expansion changes them.
+TEST(Checksum, GoldenPinForSeededRecords) {
+  const Checksum c = checksum_of(seeded_records(0x5EC04D5ULL, 4096));
+  EXPECT_EQ(c.md5_acc, 0x769efdd2aef781f6ULL);
+  EXPECT_EQ(c.sum_acc, 33513958u);
+  EXPECT_EQ(c.key_acc, 0x7db3522d215b3fefULL);
+  EXPECT_EQ(c.count, 4096u);
 }
 
 TEST(Checksum, MergeEqualsConcatenation) {
