@@ -185,11 +185,10 @@ int main(int argc, char** argv) {
   }
   detcfg.enabled = use_detector;
   // Reject bad knobs here with a clean exit instead of letting the
-  // detector's ConfigError terminate mid-drill. A negative suspicion
-  // timeout is valid: it inherits the engine detect timeout (the shim).
+  // detector's ConfigError terminate mid-drill.
   if (use_detector &&
       (detcfg.heartbeat_interval <= 0.0 ||
-       detcfg.suspicion_timeout == 0.0)) {
+       detcfg.suspicion_timeout <= 0.0)) {
     std::fprintf(stderr,
                  "failure_drill: heartbeat interval and suspicion "
                  "timeout must be positive\n");

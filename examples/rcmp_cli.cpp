@@ -94,8 +94,8 @@ void usage() {
       "  --heartbeat-interval X       seconds between heartbeats\n"
       "                               (implies --detector, default 3)\n"
       "  --suspicion-timeout X        seconds without a heartbeat before\n"
-      "                               suspicion (implies --detector;\n"
-      "                               default: the engine detect timeout)\n"
+      "                               suspicion (implies --detector,\n"
+      "                               default 30)\n"
       "  --quarantine-threshold N     failed attempts before a node is\n"
       "                               blacklisted, 0 disables (implies\n"
       "                               --detector, default 3)\n"
@@ -297,18 +297,6 @@ int main(int argc, char** argv) {
   if (!journal_path.empty() && !cfg.journal) {
     die("--journal-log needs --journal");
   }
-  if (cfg.detector.enabled && cfg.detector.suspicion_timeout < 0.0) {
-    // The negative default inherits EngineConfig::detect_timeout — a
-    // deprecation shim (cluster/detector.hpp). Warn so scripted runs
-    // migrate to an explicit cluster-wide timeout before the shim goes.
-    std::fprintf(stderr,
-                 "rcmp_sim: warning: --detector without "
-                 "--suspicion-timeout inherits the per-job engine "
-                 "detect timeout (%.1f s); this inheritance is "
-                 "deprecated — pass --suspicion-timeout explicitly\n",
-                 cfg.engine.detect_timeout);
-  }
-
   // Infeasible combinations (replication > nodes, impossible failure
   // plans, ...) are validated by the library; report them like any
   // other bad flag instead of terminating on the exception.

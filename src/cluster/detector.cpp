@@ -9,7 +9,6 @@ namespace rcmp::cluster {
 
 FailureDetector::FailureDetector(sim::Simulation& sim, Cluster& cluster,
                                  DetectorConfig cfg,
-                                 SimTime fallback_suspicion_timeout,
                                  obs::Observability* obs)
     : sim_(sim), cluster_(cluster), cfg_(cfg), obs_(obs) {
   // User-facing knobs throw ConfigError (not RCMP_CHECK) so drivers can
@@ -17,12 +16,8 @@ FailureDetector::FailureDetector(sim::Simulation& sim, Cluster& cluster,
   if (cfg_.heartbeat_interval <= 0.0) {
     throw ConfigError("detector heartbeat interval must be positive");
   }
-  suspicion_timeout_ = cfg_.suspicion_timeout >= 0.0
-                           ? cfg_.suspicion_timeout
-                           : fallback_suspicion_timeout;
-  if (suspicion_timeout_ <= 0.0) {
-    throw ConfigError(
-        "detector suspicion timeout must resolve to a positive value");
+  if (cfg_.suspicion_timeout <= 0.0) {
+    throw ConfigError("detector suspicion timeout must be positive");
   }
 
   const std::uint32_t n = cluster_.size();
@@ -120,7 +115,7 @@ void FailureDetector::heartbeat_arrived(NodeId n) {
 void FailureDetector::arm_deadline(NodeId n) {
   cancel_deadline(n);
   last_hb_[n] = sim_.now();
-  deadline_ev_[n] = sim_.schedule_at(sim_.now() + suspicion_timeout_,
+  deadline_ev_[n] = sim_.schedule_at(sim_.now() + cfg_.suspicion_timeout,
                                      [this, n] { deadline_fired(n); });
 }
 
@@ -137,7 +132,7 @@ void FailureDetector::deadline_fired(NodeId n) {
   // Re-arm at the exact instant the latest sighting goes stale —
   // schedule_at(last_hb + timeout) reproduces the suspicion times of
   // the eager cancel-and-rearm scheme bit for bit.
-  const SimTime due = last_hb_[n] + suspicion_timeout_;
+  const SimTime due = last_hb_[n] + cfg_.suspicion_timeout;
   if (due > sim_.now()) {
     deadline_ev_[n] =
         sim_.schedule_at(due, [this, n] { deadline_fired(n); });
@@ -208,7 +203,7 @@ void FailureDetector::handle_cluster_failure(const FailureEvent& ev) {
   const bool heartbeat_reports = cluster_.compute_alive(n) && !suspected_[n];
   const bool deadline_armed = deadline_ev_[n] != sim::kInvalidEvent;
   if (heartbeat_reports || deadline_armed) return;
-  sim_.schedule_after(suspicion_timeout_, [this, n] {
+  sim_.schedule_after(cfg_.suspicion_timeout, [this, n] {
     if (stopped_ || fail_time_[n] < 0.0) return;
     // The belief resolves: whatever we suspected, the node is now
     // really damaged and the master acts on ground truth.

@@ -63,12 +63,9 @@ struct DetectorConfig {
   /// TaskTracker interval is 3 s).
   SimTime heartbeat_interval = 3.0;
 
-  /// Seconds without a heartbeat before the master suspects the node.
-  /// Negative (the default) inherits the legacy per-job
-  /// EngineConfig::detect_timeout — the deprecation shim that keeps the
-  /// paper's 30 s presets and existing fixtures meaningful while the
-  /// knob migrates to its conceptually correct cluster-wide home here.
-  SimTime suspicion_timeout = -1.0;
+  /// Seconds without a heartbeat before the master suspects the node
+  /// (the paper's 30 s detection timeout). Must be positive.
+  SimTime suspicion_timeout = 30.0;
 
   /// Task-attempt failures charged to one node before it is
   /// quarantined (ATLAS-style blacklisting). 0 disables quarantine.
@@ -94,14 +91,12 @@ class FailureDetector {
     kStorageLoss,     // disk-loss report piggybacked on a heartbeat
   };
 
-  /// `fallback_suspicion_timeout` resolves a negative
-  /// DetectorConfig::suspicion_timeout (the EngineConfig shim).
-  /// Registers cluster failure/recovery handlers at construction, so
-  /// build the detector before anything that must observe detector
-  /// state from its own handlers.
+  /// Throws ConfigError for a non-positive heartbeat interval or
+  /// suspicion timeout. Registers cluster failure/recovery handlers at
+  /// construction, so build the detector before anything that must
+  /// observe detector state from its own handlers.
   FailureDetector(sim::Simulation& sim, Cluster& cluster,
-                  DetectorConfig cfg, SimTime fallback_suspicion_timeout,
-                  obs::Observability* obs = nullptr);
+                  DetectorConfig cfg, obs::Observability* obs = nullptr);
   FailureDetector(const FailureDetector&) = delete;
   FailureDetector& operator=(const FailureDetector&) = delete;
 
@@ -114,8 +109,7 @@ class FailureDetector {
   void stop();
 
   SimTime heartbeat_interval() const { return cfg_.heartbeat_interval; }
-  /// Resolved suspicion timeout (shim applied).
-  SimTime suspicion_timeout() const { return suspicion_timeout_; }
+  SimTime suspicion_timeout() const { return cfg_.suspicion_timeout; }
 
   /// Master-side view: is `n` currently suspected dead?
   bool suspected(NodeId n) const { return suspected_[n]; }
@@ -203,7 +197,6 @@ class FailureDetector {
   sim::Simulation& sim_;
   Cluster& cluster_;
   DetectorConfig cfg_;
-  SimTime suspicion_timeout_ = 0.0;
   obs::Observability* obs_ = nullptr;
 
   bool started_ = false;

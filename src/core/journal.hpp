@@ -53,8 +53,8 @@ enum class JournalRecordType : std::uint8_t {
 const char* journal_record_type_name(JournalRecordType t);
 
 /// Fixed-size POD record. The a/b/c operands are record-type-specific
-/// (see the enum); `chain` is the emitting middleware's 1-based trace
-/// tag (0 single-tenant) so one shared journal serves many tenants.
+/// (see the enum); `chain` is the emitting middleware's chain tag (0 for
+/// a lone chain) so one shared journal serves many tenants.
 struct JournalRecord {
   double time = 0.0;      // simulated seconds at append
   std::uint64_t lsn = 0;  // log sequence number, dense from 0

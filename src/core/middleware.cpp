@@ -41,22 +41,17 @@ Middleware::Middleware(mapred::Env env, ChainSpec chain,
       rng_(seed),
       tenant_(tenant) {
   RCMP_CHECK_MSG(!chain_.jobs.empty(), "empty chain");
-  if (tenant_.scheduler != nullptr) {
-    // Tenant mode: the engine draws slots from the shared scheduler,
-    // every trace event carries the 1-based chain tag, and metrics get a
-    // per-chain prefix. The scheduler kicks the current run whenever
-    // capacity frees up elsewhere in the cluster.
-    env_.slots = &tenant_.scheduler->broker(tenant_.chain_id);
-    env_.chain_tag = static_cast<std::uint16_t>(tenant_.chain_id + 1);
-    // Appended in place: GCC 12 raises a false -Wrestrict on
-    // "t" + std::to_string(...).
-    tag_ = "t";
-    tag_ += std::to_string(tenant_.chain_id);
-    tag_ += '.';
-    tenant_.scheduler->set_kick(tenant_.chain_id, [this] {
-      if (current_ != nullptr && current_->running()) current_->poke();
-    });
-  }
+  ChainScheduler* const sched = tenant_.scheduler;
+  RCMP_CHECK_MSG(
+      sched != nullptr && &env_.slots == &sched->broker(tenant_.chain_id),
+      "a middleware draws its slots from its ChainScheduler seat");
+  // Trace events and metric names follow the scheduler's tag rule, and
+  // the scheduler kicks the current run whenever capacity frees up.
+  env_.chain_tag = sched->chain_tag(tenant_.chain_id);
+  tag_ = sched->metric_prefix(tenant_.chain_id);
+  sched->set_kick(tenant_.chain_id, [this] {
+    if (current_ != nullptr && current_->running()) current_->poke();
+  });
   if (strategy_.policy != nullptr && !strategy_.policy->inert()) {
     // Per-chain clone: adaptive state never leaks across the chains of
     // a multi-tenant run or across reruns of one StrategyConfig. The
@@ -355,9 +350,7 @@ PolicyContext Middleware::policy_context(std::uint32_t next_logical,
       job_time_count_ > 0 ? job_time_sum_ / job_time_count_ : 0.0;
   ctx.alive_compute = env_.cluster.alive_compute_count();
   ctx.cluster_size = env_.cluster.size();
-  ctx.active_chains = tenant_.scheduler != nullptr
-                          ? tenant_.scheduler->active_chains()
-                          : 0;
+  ctx.active_chains = tenant_.scheduler->active_chains();
   if (env_.detector != nullptr) {
     const cluster::FailureDetector& d = *env_.detector;
     ctx.detector_attached = true;
@@ -369,10 +362,7 @@ PolicyContext Middleware::policy_context(std::uint32_t next_logical,
     ctx.quarantines = d.quarantines();
     ctx.worst_node_task_failures = d.max_task_failures();
   }
-  ctx.storage_used =
-      tenant_.scheduler != nullptr
-          ? tenant_.scheduler->storage_total()
-          : env_.dfs.total_used() + env_.map_outputs.total_used();
+  ctx.storage_used = tenant_.scheduler->storage_total();
   ctx.storage_budget = strategy_.storage_budget;
   return ctx;
 }
@@ -445,10 +435,7 @@ void Middleware::apply_policy_replication(const PlannedSubmission& sub) {
     return;
   }
   policy_tier_ = -1;
-  const Bytes used =
-      tenant_.scheduler != nullptr
-          ? tenant_.scheduler->storage_total()
-          : env_.dfs.total_used() + env_.map_outputs.total_used();
+  const Bytes used = tenant_.scheduler->storage_total();
   env_.dfs.set_replication(files_[sub.logical_id], policy_replication_);
   ++result_.replication_points;
   ++result_.policy_pre_replications;
@@ -473,9 +460,8 @@ void Middleware::run(std::function<void(const ChainResult&)> on_complete) {
   on_complete_ = std::move(on_complete);
   journal_append(JournalRecordType::kChainAdmit, 0, 0, chain_.jobs.size());
   if (policy_ != nullptr) {
-    // Chain admission: in tenant mode run() is invoked by the shared
-    // scheduler's admission callback, so the hook fires at true
-    // admission time there too.
+    // Chain admission: run() is invoked by the scheduler's admission
+    // callback, so the hook fires at true admission time.
     apply_policy_decision(
         policy_->on_chain_admission(policy_context(0, false)),
         PolicyHook::kChainAdmission, 0);
@@ -864,9 +850,7 @@ void Middleware::replan() {
   }
 
   ++result_.replans;
-  if (tenant_.scheduler != nullptr) {
-    tenant_.scheduler->note_replan(tenant_.chain_id);
-  }
+  tenant_.scheduler->note_replan(tenant_.chain_id);
   if (env_.obs != nullptr) {
     env_.obs->tracer.emit(env_.sim.now(), obs::EventType::kReplan,
                           obs::kKindReplan, obs::kNoField, obs::kNoField,
@@ -960,9 +944,7 @@ void Middleware::wipe_and_restart() {
   // A restart voids every earlier journaled commit/publication: replay
   // honors the latest kRestart as a truncation point for adoption.
   journal_append(JournalRecordType::kRestart, result_.restarts, 0, 0);
-  if (tenant_.scheduler != nullptr) {
-    tenant_.scheduler->note_restart(tenant_.chain_id);
-  }
+  tenant_.scheduler->note_restart(tenant_.chain_id);
   if (env_.obs != nullptr) {
     env_.obs->tracer.emit(env_.sim.now(), obs::EventType::kReplan,
                           obs::kKindRestart, obs::kNoField, obs::kNoField,
@@ -1132,7 +1114,7 @@ void Middleware::enforce_storage_budget() {
   // Under a shared budget the scheduler arbitrates across chains
   // (weighted shares, cross-chain victims); the per-chain budget below
   // still applies to this chain's own store when configured.
-  if (tenant_.scheduler != nullptr) tenant_.scheduler->enforce_storage();
+  tenant_.scheduler->enforce_storage();
   if (strategy_.storage_budget == 0) return;
   // Evict persisted map outputs starting with the oldest jobs, wave by
   // wave (the paper's proposed eviction granularity), only as much as
@@ -1182,13 +1164,10 @@ void Middleware::enforce_storage_budget() {
 }
 
 void Middleware::sample_storage() {
-  // Multi-tenant: the gauge is shared, so it must reflect the shared
+  // The gauge is shared across chains, so it must reflect the shared
   // ground truth (DFS + every chain's store) or the auditor's
   // cross-check would flag a stale sample.
-  const Bytes used =
-      tenant_.scheduler != nullptr
-          ? tenant_.scheduler->storage_total()
-          : env_.dfs.total_used() + env_.map_outputs.total_used();
+  const Bytes used = tenant_.scheduler->storage_total();
   result_.peak_storage = std::max(result_.peak_storage, used);
   if (env_.obs != nullptr) {
     env_.obs->metrics.add("storage.samples");
@@ -1208,8 +1187,8 @@ void Middleware::sample_storage() {
 void Middleware::publish_metrics() {
   if (env_.obs == nullptr) return;
   auto& m = env_.obs->metrics;
-  // tag_ is "" single-tenant (names unchanged) and "t<chain>." under a
-  // scheduler, so concurrent chains never overwrite each other's gauges.
+  // tag_ is "" for a lone chain and "t<chain>." among several, so
+  // concurrent chains never overwrite each other's gauges.
   m.set_gauge(tag_ + "chain.completed", result_.completed ? 1.0 : 0.0);
   m.set_gauge(tag_ + "chain.fail_reason",
               static_cast<double>(static_cast<int>(result_.fail_reason)));
@@ -1273,9 +1252,7 @@ void Middleware::fail_chain(ChainResult::FailReason reason,
     sample_storage();
     env_.obs->audit(obs::AuditPoint::kFinal);
   }
-  if (tenant_.scheduler != nullptr) {
-    tenant_.scheduler->chain_done(tenant_.chain_id);
-  }
+  tenant_.scheduler->chain_done(tenant_.chain_id);
   if (on_complete_) on_complete_(result_);
 }
 
@@ -1307,9 +1284,7 @@ void Middleware::finish_chain() {
     sample_storage();
     env_.obs->audit(obs::AuditPoint::kFinal);
   }
-  if (tenant_.scheduler != nullptr) {
-    tenant_.scheduler->chain_done(tenant_.chain_id);
-  }
+  tenant_.scheduler->chain_done(tenant_.chain_id);
   if (on_complete_) on_complete_(result_);
 }
 

@@ -37,10 +37,10 @@ class ResultCache;
 /// Sentinel dependency: read the externally generated source input.
 inline constexpr std::uint32_t kSourceInput = 0xffffffffu;
 
-/// Multi-tenant attachment: hands the middleware its seat in a shared
-/// ChainScheduler. Default-constructed = single-tenant (the middleware
-/// behaves exactly as before: private slot accounting, untagged trace
-/// events, unprefixed metrics).
+/// The middleware's seat in the cluster: its ChainScheduler (required —
+/// a single chain is a scheduler serving one chain) plus the shared
+/// registries it may use. The scheduler's tag rule decides the chain
+/// tag on trace events and the metric-name prefix.
 struct TenantContext {
   ChainScheduler* scheduler = nullptr;
   std::uint32_t chain_id = 0;
@@ -151,9 +151,11 @@ struct ChainResult {
 
 class Middleware {
  public:
+  /// `env.slots` must be `tenant.scheduler`'s broker for
+  /// `tenant.chain_id`.
   Middleware(mapred::Env env, ChainSpec chain, dfs::FileId source_input,
              StrategyConfig strategy, mapred::EngineConfig engine_cfg,
-             std::uint64_t seed, TenantContext tenant = {});
+             std::uint64_t seed, TenantContext tenant);
   Middleware(const Middleware&) = delete;
   Middleware& operator=(const Middleware&) = delete;
 
@@ -193,7 +195,7 @@ class Middleware {
   /// master derives both from its journal). Returns false when there is
   /// nothing to crash: no journal attached, the chain already finished,
   /// or it was never admitted. Call recover_from_journal() afterwards —
-  /// a Scenario orchestrates crash -> shared-registry reset ->
+  /// the MultiScenario orchestrates crash -> shared-registry reset ->
   /// recovery for all tenants.
   bool crash_master();
 
@@ -287,8 +289,8 @@ class Middleware {
   void journal_append(JournalRecordType type, std::uint32_t a,
                       std::uint32_t b, std::uint64_t c);
 
-  /// The 1-based chain tag carried on every trace event this middleware
-  /// (and its engine) emits; 0 single-tenant.
+  /// The chain tag carried on every trace event this middleware (and its
+  /// engine) emits, from the scheduler's tag rule.
   std::uint16_t chain_tag() const { return env_.chain_tag; }
 
   mapred::Env env_;
@@ -302,7 +304,8 @@ class Middleware {
   mapred::EngineConfig engine_cfg_;
   Rng rng_;
   TenantContext tenant_;
-  /// Metric-name prefix: "" single-tenant, "t<chain>." under a scheduler.
+  /// Metric-name prefix from the scheduler's tag rule: "" for a lone
+  /// chain, "t<chain>." among several.
   std::string tag_;
 
   /// Per-chain clone of StrategyConfig::policy; null when no policy (or

@@ -81,7 +81,7 @@ struct PolicyContext {
   // Cluster and scheduler.
   std::uint32_t alive_compute = 0;
   std::uint32_t cluster_size = 0;
-  /// Chains active in the shared ChainScheduler; 0 single-tenant.
+  /// Chains the ChainScheduler has admitted (1 for a single chain).
   std::uint32_t active_chains = 0;
 
   // Detector statistics (detector.* metrics feed).

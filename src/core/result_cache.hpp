@@ -68,7 +68,7 @@ class ResultCache {
   struct Entry {
     std::uint64_t fingerprint = 0;
     dfs::FileId file = dfs::kInvalidFile;
-    std::uint32_t owner_chain = 0;  // 0-based; single-tenant uses 0
+    std::uint32_t owner_chain = 0;  // 0-based; a lone chain is 0
     std::uint32_t position = 0;     // chain position of the job
     bool is_final = false;          // last job of the owning chain
     bool owner_done = false;

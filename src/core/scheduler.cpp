@@ -84,8 +84,7 @@ void ChainScheduler::admit(std::uint32_t c) {
     obs_->metrics.add("sched.admitted");
     obs_->tracer.emit(sim_.now(), obs::EventType::kChainAdmit, 0,
                       obs::kNoField, obs::kNoField, obs::kNoField,
-                      static_cast<double>(active_),
-                      static_cast<std::uint16_t>(c + 1));
+                      static_cast<double>(active_), chain_tag(c));
   }
   RCMP_CHECK_MSG(static_cast<bool>(cs.start),
                  "chain admitted without a start callback");
@@ -107,8 +106,7 @@ void ChainScheduler::chain_done(std::uint32_t c) {
                       static_cast<double>(cs.grants));
     obs_->tracer.emit(sim_.now(), obs::EventType::kChainDone, 0,
                       obs::kNoField, obs::kNoField, obs::kNoField,
-                      static_cast<double>(active_),
-                      static_cast<std::uint16_t>(c + 1));
+                      static_cast<double>(active_), chain_tag(c));
   }
   if (!waiting_.empty()) {
     const std::uint32_t next = waiting_.front();
@@ -183,7 +181,7 @@ void ChainScheduler::acquire(std::uint32_t c, cluster::NodeId n,
     obs_->tracer.emit(sim_.now(), obs::EventType::kSlotGrant,
                       static_cast<std::uint8_t>(k), n, obs::kNoField,
                       obs::kNoField, static_cast<double>(cs.in_use[k]),
-                      static_cast<std::uint16_t>(c + 1));
+                      chain_tag(c));
   }
 }
 
@@ -371,8 +369,7 @@ void ChainScheduler::enforce_storage() {
       obs_->metrics.add(chain_metric(victim, "evictions"));
       obs_->tracer.emit(sim_.now(), obs::EventType::kEviction, 0,
                         obs::kNoField, job, obs::kNoField,
-                        static_cast<double>(freed),
-                        static_cast<std::uint16_t>(victim + 1));
+                        static_cast<double>(freed), chain_tag(victim));
     }
   }
 }
@@ -402,6 +399,16 @@ std::uint32_t ChainScheduler::restarts(std::uint32_t chain) const {
 
 std::uint32_t ChainScheduler::evictions(std::uint32_t chain) const {
   return chains_.at(chain).evictions;
+}
+
+std::string ChainScheduler::metric_prefix(std::uint32_t chain) const {
+  if (chains_.size() == 1) return {};
+  // Appended in place: GCC 12 raises a false -Wrestrict on
+  // "t" + std::to_string(...).
+  std::string out = "t";
+  out += std::to_string(chain);
+  out += '.';
+  return out;
 }
 
 std::string ChainScheduler::chain_metric(std::uint32_t c,

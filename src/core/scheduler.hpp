@@ -1,9 +1,12 @@
-// ChainScheduler: cluster-wide multi-tenant arbitration for concurrent
-// recomputation chains.
+// ChainScheduler: cluster-wide arbitration of compute slots, admission
+// and storage for recomputation chains — the only slot arbiter every
+// engine runs under.
 //
-// The paper evaluates one RCMP chain at a time; a production cluster
-// serves many. The scheduler owns the three resources chains contend
-// for and keeps recovery per-tenant:
+// The paper evaluates one RCMP chain at a time on a dedicated cluster;
+// that is a scheduler serving one chain, whose entitlement is the whole
+// cluster (it is never denied). A production cluster serves many. The
+// scheduler owns the three resources chains contend for and keeps
+// recovery per-tenant:
 //
 //   Compute slots — a shared per-node inventory handed out through the
 //   mapred::SlotBroker seam with weighted fair sharing: chain c's
@@ -39,8 +42,12 @@
 //
 // Everything the scheduler decides is exported: `sched.*` metrics
 // (grants, denials, pokes, per-chain replans/evictions) and kSlotGrant
-// / kChainAdmit / kChainDone trace events tagged with the 1-based
-// chain id.
+// / kChainAdmit / kChainDone trace events carrying the chain tag.
+//
+// The scheduler owns the tag rule every layer stamps on a chain's trace
+// events and metric names: while it serves one chain, tag 0 and bare
+// metric names (a one-chain run reads like the paper's single chain);
+// with several, the 1-based chain id and a "t<chain>." prefix.
 #pragma once
 
 #include <array>
@@ -83,11 +90,21 @@ class ChainScheduler {
   ChainScheduler(const ChainScheduler&) = delete;
   ChainScheduler& operator=(const ChainScheduler&) = delete;
 
-  /// Register a chain (before its middleware is constructed). `store`
-  /// is the chain's persisted-map-output store, `num_jobs` bounds the
-  /// oldest-first eviction scan. Returns the dense 0-based chain id.
+  /// Register a chain. Every chain is registered before the first
+  /// middleware is constructed (the tag rule depends on the count).
+  /// `store` is the chain's persisted-map-output store, `num_jobs`
+  /// bounds the oldest-first eviction scan. Returns the dense 0-based
+  /// chain id.
   std::uint32_t add_chain(double weight, std::uint32_t num_jobs,
                           mapred::MapOutputStore* store);
+
+  /// Trace tag of `chain`: 0 while one chain is registered, else c + 1.
+  std::uint16_t chain_tag(std::uint32_t chain) const {
+    return chains_.size() == 1 ? 0 : static_cast<std::uint16_t>(chain + 1);
+  }
+  /// Metric-name prefix of `chain`: "" while one chain is registered,
+  /// else "t<chain>.".
+  std::string metric_prefix(std::uint32_t chain) const;
 
   /// The chain's slot-broker client, for mapred::Env::slots.
   mapred::SlotBroker& broker(std::uint32_t chain);

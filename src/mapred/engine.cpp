@@ -33,70 +33,35 @@ JobRun::JobRun(Env env, JobSpec spec, RecomputeDirective directive,
 bool JobRun::payload_mode() const { return payload_mode_; }
 
 // ---------------------------------------------------------------------
-// slot accounting: private arrays (sole tenant) or the shared broker
+// slot accounting (through the broker)
 // ---------------------------------------------------------------------
 
 bool JobRun::map_slot_free(cluster::NodeId n) const {
   // Suspected and quarantined nodes receive no new task placements;
-  // this single gate covers both slot modes and every placement site.
+  // this single gate covers every placement site.
   if (env_.detector != nullptr && !env_.detector->schedulable(n))
     return false;
-  if (env_.slots != nullptr) {
-    return map_node_banned_[n] == 0 &&
-           env_.slots->may_acquire(n, SlotKind::kMap);
-  }
-  return free_map_slots_[n] > 0;
+  return map_node_banned_[n] == 0 &&
+         env_.slots.may_acquire(n, SlotKind::kMap);
 }
 
 bool JobRun::reduce_slot_free(cluster::NodeId n) const {
   if (env_.detector != nullptr && !env_.detector->schedulable(n))
     return false;
-  if (env_.slots != nullptr) {
-    return env_.slots->may_acquire(n, SlotKind::kReduce);
-  }
-  return free_reduce_slots_[n] > 0;
-}
-
-void JobRun::take_map_slot(cluster::NodeId n) {
-  if (env_.slots != nullptr) {
-    env_.slots->acquire(n, SlotKind::kMap);
-  } else {
-    RCMP_CHECK(free_map_slots_[n] > 0);
-    --free_map_slots_[n];
-  }
-}
-
-void JobRun::take_reduce_slot(cluster::NodeId n) {
-  if (env_.slots != nullptr) {
-    env_.slots->acquire(n, SlotKind::kReduce);
-  } else {
-    RCMP_CHECK(free_reduce_slots_[n] > 0);
-    --free_reduce_slots_[n];
-  }
+  return env_.slots.may_acquire(n, SlotKind::kReduce);
 }
 
 void JobRun::put_map_slot(cluster::NodeId n) {
-  if (!env_.cluster.compute_alive(n)) return;
-  if (env_.slots != nullptr) {
-    env_.slots->release(n, SlotKind::kMap);
-  } else {
-    ++free_map_slots_[n];
-  }
+  if (env_.cluster.compute_alive(n)) env_.slots.release(n, SlotKind::kMap);
 }
 
 void JobRun::put_reduce_slot(cluster::NodeId n) {
-  if (!env_.cluster.compute_alive(n)) return;
-  if (env_.slots != nullptr) {
-    env_.slots->release(n, SlotKind::kReduce);
-  } else {
-    ++free_reduce_slots_[n];
-  }
+  if (env_.cluster.compute_alive(n)) env_.slots.release(n, SlotKind::kReduce);
 }
 
 void JobRun::publish_demand() {
-  if (env_.slots == nullptr) return;
-  env_.slots->set_demand(SlotKind::kMap, !pending_maps_.empty());
-  env_.slots->set_demand(SlotKind::kReduce, !pending_reduces_.empty());
+  env_.slots.set_demand(SlotKind::kMap, !pending_maps_.empty());
+  env_.slots.set_demand(SlotKind::kReduce, !pending_reduces_.empty());
 }
 
 // ---------------------------------------------------------------------
@@ -142,18 +107,6 @@ void JobRun::start() {
   build_reduce_tasks();
 
   map_node_banned_.assign(env_.cluster.size(), 0);
-  if (env_.slots == nullptr) {
-    // Sole tenant: credit this run every alive node's full complement.
-    free_map_slots_.assign(env_.cluster.size(), 0);
-    free_reduce_slots_.assign(env_.cluster.size(), 0);
-    for (cluster::NodeId n = 0; n < env_.cluster.size(); ++n) {
-      if (!env_.cluster.compute_alive(n) ||
-          !env_.cluster.is_compute_node(n))
-        continue;
-      free_map_slots_[n] = env_.cluster.spec().map_slots;
-      free_reduce_slots_[n] = env_.cluster.spec().reduce_slots;
-    }
-  }
 
   // Coalesced shuffle flush threshold: a fraction of the expected
   // per-(source node, reducer) volume.
@@ -195,10 +148,8 @@ void JobRun::bootstrap() {
       if (!env_.cluster.compute_alive(n)) continue;
       if (allowed > 0) {
         --allowed;
-      } else if (env_.slots != nullptr) {
-        map_node_banned_[n] = 1;
       } else {
-        free_map_slots_[n] = 0;
+        map_node_banned_[n] = 1;
       }
     }
   }
@@ -339,18 +290,22 @@ void JobRun::schedule_maps() {
 
   // Locality pass: give every node with free map slots its local blocks
   // first (with even data distribution this keeps initial runs fully
-  // data-local, as the paper notes for collocated clusters).
+  // data-local, as the paper notes for collocated clusters). The slot
+  // check is hoisted: its answer only changes when this loop assigns a
+  // task, and it is never asked with nothing left to place (a denial is
+  // counted).
   for (cluster::NodeId n = 0;
        !cfg_.ignore_locality && n < env_.cluster.size(); ++n) {
     if (!env_.cluster.compute_alive(n)) continue;
-    for (std::size_t i = 0;
-         i < pending_maps_.size() && map_slot_free(n);) {
+    bool slot_free = !pending_maps_.empty() && map_slot_free(n);
+    for (std::size_t i = 0; slot_free && i < pending_maps_.size();) {
       const std::uint32_t m = pending_maps_[i];
       const auto& reps = env_.dfs.block(maps_[m].block_id).replicas;
       if (std::find(reps.begin(), reps.end(), n) != reps.end()) {
         assign_map(m, n);
         pending_maps_[i] = pending_maps_.back();
         pending_maps_.pop_back();
+        slot_free = i < pending_maps_.size() && map_slot_free(n);
       } else {
         ++i;
       }
@@ -428,7 +383,7 @@ void JobRun::schedule_reduces() {
 void JobRun::assign_map(std::uint32_t m, cluster::NodeId n) {
   MapTask& t = maps_[m];
   RCMP_CHECK(t.state == MapState::kPending);
-  take_map_slot(n);
+  env_.slots.acquire(n, SlotKind::kMap);
   t.node = n;
   t.state = MapState::kStarting;
   t.start_time = env_.sim.now();
@@ -445,7 +400,7 @@ void JobRun::assign_map(std::uint32_t m, cluster::NodeId n) {
 void JobRun::assign_reduce(std::uint32_t r, cluster::NodeId n) {
   ReduceTask& rt = reduces_[r];
   RCMP_CHECK(rt.state == ReduceState::kUnassigned);
-  take_reduce_slot(n);
+  env_.slots.acquire(n, SlotKind::kReduce);
   rt.node = n;
   rt.state = ReduceState::kStarting;
   rt.start_time = env_.sim.now();
@@ -757,7 +712,7 @@ void JobRun::speculation_check() {
 }
 
 void JobRun::launch_duplicate(std::uint32_t m, cluster::NodeId node) {
-  take_map_slot(node);
+  env_.slots.acquire(node, SlotKind::kMap);
   Duplicate dup;
   dup.token = next_dup_token_++;
   dup.node = node;
@@ -929,7 +884,7 @@ void JobRun::speculate_reducers() {
 
 void JobRun::launch_reduce_duplicate(std::uint32_t r,
                                      cluster::NodeId node) {
-  take_reduce_slot(node);
+  env_.slots.acquire(node, SlotKind::kReduce);
   ReduceDuplicate dup;
   dup.token = next_dup_token_++;
   dup.node = node;
@@ -1423,13 +1378,9 @@ void JobRun::on_node_killed(cluster::NodeId n) {
 
 void JobRun::on_compute_failed(cluster::NodeId n) {
   if (state_ != RunState::kRunning) return;
-  if (env_.slots == nullptr) {
-    free_map_slots_[n] = 0;
-    free_reduce_slots_[n] = 0;
-  }
-  // Broker mode: the shared scheduler's own failure handler (registered
-  // before any chain's) already zeroed the node's inventory and
-  // forfeited every slot held there.
+  // The scheduler's own failure handler (registered before any chain's)
+  // already zeroed the node's inventory and forfeited every slot held
+  // there.
 
   // Drop all speculative duplicates: any of them may have been running
   // on, or reading from, the dead node. Speculation re-arms later.
@@ -1490,13 +1441,9 @@ void JobRun::on_disk_failed(cluster::NodeId n) {
 void JobRun::on_node_recovered(cluster::NodeId n) {
   if (state_ != RunState::kRunning) return;
   if (!env_.cluster.is_compute_node(n)) return;
-  // The node rejoins with an empty disk and full slots; pending work can
-  // land on it immediately, and its disk becomes a write target again.
-  // (Broker mode: the shared scheduler refilled the node's inventory.)
-  if (env_.slots == nullptr) {
-    free_map_slots_[n] = env_.cluster.spec().map_slots;
-    free_reduce_slots_[n] = env_.cluster.spec().reduce_slots;
-  }
+  // The node rejoins with an empty disk and full slots (the scheduler
+  // refilled its inventory); pending work can land on it immediately,
+  // and its disk becomes a write target again.
   // Writes that stalled because no storage target survived can resume
   // against the rejoined disk.
   for (std::uint32_t r = 0; r < reduces_.size(); ++r) {
@@ -1688,10 +1635,6 @@ void JobRun::halt_fetches_from(cluster::NodeId n) {
 
 void JobRun::on_suspected(cluster::NodeId n) {
   if (state_ != RunState::kRunning) return;
-  if (env_.slots == nullptr) {
-    free_map_slots_[n] = 0;
-    free_reduce_slots_[n] = 0;
-  }
   // Drop all speculative duplicates: any of them may be running on, or
   // reading from, the suspected node (mirrors on_compute_failed).
   std::vector<std::uint32_t> dup_tasks;
@@ -1711,7 +1654,7 @@ void JobRun::on_suspected(cluster::NodeId n) {
       // Unlike a real compute failure, the broker never saw a cluster
       // event for a suspicion: hand the frozen task's slot back
       // explicitly (may_acquire's detector gate keeps it off node n).
-      if (env_.slots != nullptr) env_.slots->release(n, SlotKind::kMap);
+      env_.slots.release(n, SlotKind::kMap);
       blame_node(n);
     }
   }
@@ -1725,7 +1668,7 @@ void JobRun::on_suspected(cluster::NodeId n) {
       cancel_task_work(rt);
       cancel_fetches_of_reducer(r);
       rt.state = ReduceState::kFrozen;
-      if (env_.slots != nullptr) env_.slots->release(n, SlotKind::kReduce);
+      env_.slots.release(n, SlotKind::kReduce);
       blame_node(n);
     }
   }
@@ -1736,14 +1679,8 @@ void JobRun::on_suspected(cluster::NodeId n) {
 
 void JobRun::on_node_reconciled(cluster::NodeId n) {
   if (state_ != RunState::kRunning) return;
-  // The suspicion zeroed the node's private slot complement; restore it
-  // (broker mode: the shared inventory was never touched — the
-  // may_acquire gate simply lifts once the detector clears n).
-  if (env_.slots == nullptr && env_.cluster.compute_alive(n) &&
-      env_.cluster.is_compute_node(n)) {
-    free_map_slots_[n] = env_.cluster.spec().map_slots;
-    free_reduce_slots_[n] = env_.cluster.spec().reduce_slots;
-  }
+  // The suspicion never touched the shared slot inventory: the
+  // may_acquire gate simply lifts once the detector clears n.
   // Readopt persisted outputs whose spurious re-execution has not
   // committed yet: cancel the replacement work and restore the task to
   // its pre-suspicion terminal state, leaving the DFS and map-output
@@ -1987,9 +1924,9 @@ void JobRun::cancel() {
   }
   teardown_all_work();
   discard_partial_results();
-  // Shared-cluster mode: torn-down tasks can no longer release their
-  // slots one by one — hand everything still held back to the arbiter.
-  if (env_.slots != nullptr) env_.slots->release_all();
+  // Torn-down tasks can no longer release their slots one by one —
+  // hand everything still held back to the arbiter.
+  env_.slots.release_all();
   RCMP_INFO() << "t=" << env_.sim.now() << " job " << spec_.name
               << " (ordinal " << ordinal_ << ") cancelled";
 }
@@ -2018,7 +1955,7 @@ void JobRun::finish(JobResult::Status status) {
   // An aborted run tore work down without per-task releases; a completed
   // run holds nothing, making this a no-op. Either way the arbiter gets
   // every remaining slot back and this chain's demand flags clear.
-  if (env_.slots != nullptr) env_.slots->release_all();
+  env_.slots.release_all();
   if (env_.obs != nullptr) {
     env_.obs->tracer.emit(env_.sim.now(), obs::EventType::kJobFinish,
                           static_cast<std::uint8_t>(status), obs::kNoField,

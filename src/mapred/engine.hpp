@@ -47,15 +47,16 @@ struct Env {
   dfs::NameNode& dfs;
   MapOutputStore& map_outputs;
   PayloadStore& payloads;
+  /// The chain's seat at the cluster's slot arbiter
+  /// (core::ChainScheduler::broker): every slot the job runs in is
+  /// acquired from and released to it.
+  SlotBroker& slots;
   /// Optional observability sink (tracer + metrics + audit hooks);
   /// nullptr disables all emission at the cost of one pointer compare
   /// per site.
   obs::Observability* obs = nullptr;
-  /// Optional shared-cluster slot arbiter. nullptr (the default) keeps
-  /// the engine's private sole-ownership slot accounting.
-  SlotBroker* slots = nullptr;
-  /// 1-based chain tag stamped into trace events under multi-tenancy;
-  /// 0 leaves events untagged (single-tenant exports are unchanged).
+  /// Chain tag stamped into trace events (the scheduler's tag rule:
+  /// 0 while it serves one chain, the 1-based chain id otherwise).
   std::uint16_t chain_tag = 0;
   /// Optional heartbeat failure detector. nullptr (the default) keeps
   /// the oracle detection model: the engine trusts storage_alive() alone
@@ -418,16 +419,14 @@ class JobRun {
   bool payload_mode() const;
   double flush_threshold() const { return flush_threshold_; }
 
-  // --- slot accounting (local arrays or the shared broker) -------------
+  // --- slot accounting (through the broker) ----------------------------
   bool map_slot_free(cluster::NodeId n) const;
   bool reduce_slot_free(cluster::NodeId n) const;
-  void take_map_slot(cluster::NodeId n);
-  void take_reduce_slot(cluster::NodeId n);
-  /// Return a slot; dropped when the node's compute is down (dead nodes
-  /// never regain credit — a rejoin refills the full complement).
+  /// Return a slot; dropped when the node's compute is down (the broker
+  /// forfeited it when the failure landed).
   void put_map_slot(cluster::NodeId n);
   void put_reduce_slot(cluster::NodeId n);
-  /// Publish unmet demand to the broker (no-op single-tenant).
+  /// Publish unmet demand to the broker.
   void publish_demand();
 
   Env env_;
@@ -448,9 +447,7 @@ class JobRun {
   std::uint32_t maps_remaining_ = 0;    // not yet done/reused
   std::uint32_t reduces_remaining_ = 0;
 
-  std::vector<std::uint32_t> free_map_slots_;     // per node (no broker)
-  std::vector<std::uint32_t> free_reduce_slots_;  // per node (no broker)
-  /// Broker mode: nodes barred from running recomputed mappers
+  /// Nodes barred from running recomputed mappers
   /// (EngineConfig::recompute_map_node_limit, the Fig. 14 knob).
   std::vector<std::uint8_t> map_node_banned_;
   std::uint32_t rr_cursor_ = 0;  // round-robin node cursor

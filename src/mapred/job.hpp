@@ -89,15 +89,10 @@ struct RecomputeDirective {
 };
 
 struct EngineConfig {
-  /// Master's failure-detection timeout (paper: 30 s).
-  ///
-  /// DEPRECATED as a per-job knob: detection latency is a property of
-  /// the cluster's failure detector, not of one job. When a
-  /// cluster::FailureDetector is attached (DetectorConfig::enabled),
-  /// this value only serves as the fallback for a negative
-  /// DetectorConfig::suspicion_timeout, preserving the paper's 30 s
-  /// presets; without a detector it keeps its historical meaning (the
-  /// oracle's fixed kill-to-detection delay).
+  /// The oracle's fixed kill-to-detection delay (paper: 30 s). Used only
+  /// without a cluster::FailureDetector; with one attached, detection
+  /// latency is DetectorConfig::suspicion_timeout (also 30 s by
+  /// default), a property of the cluster rather than of one job.
   SimTime detect_timeout = 30.0;
   /// Per-task start-up cost (JVM spawn, task localization).
   SimTime task_startup = 1.0;

@@ -1,20 +1,17 @@
 // Slot brokerage: the seam between a single job's execution engine and
-// a cluster-wide compute-slot arbiter.
+// the cluster-wide compute-slot arbiter (core::ChainScheduler; mapred
+// cannot depend on core, so the engine sees only this interface).
 //
-// A JobRun historically assumed sole ownership of the cluster: at
-// start() it credited itself every alive node's full slot complement.
-// That is exactly right for the paper's one-chain-at-a-time evaluation,
-// and it remains the default (Env::slots == nullptr keeps the engine's
-// private per-node free-slot arrays, bit-for-bit identical behavior).
+// Every JobRun draws its slots through a SlotBroker client, whether its
+// chain runs alone (the paper's one-chain-at-a-time evaluation — a
+// scheduler serving one chain never denies a free slot) or beside
+// others: `may_acquire` asks whether this chain may take one more slot
+// on a node right now (the broker folds in both physical availability
+// and the fair-share policy), `acquire`/`release` move one slot, and
+// `set_demand` reports unmet demand so the arbiter knows which chains
+// are hungry when capacity frees up.
 //
-// Under multi-tenancy (core/scheduler.hpp) each chain's JobRun instead
-// talks to a SlotBroker client: `may_acquire` asks whether this chain
-// may take one more slot on a node right now (the broker folds in both
-// physical availability and the fair-share policy), `acquire`/`release`
-// move one slot, and `set_demand` reports unmet demand so the arbiter
-// knows which chains are hungry when capacity frees up.
-//
-// Contract mirrored from the engine's single-tenant accounting:
+// Contract:
 //   - releases on a compute-dead node are dropped silently (the arbiter
 //     already forfeited every slot held there when the failure landed);
 //   - release_all() returns every slot the client still holds and

@@ -112,11 +112,6 @@ void Auditor::check_storage(std::vector<std::string>* violations) {
       violations->push_back(std::move(v));
     }
   }
-  if (refs_.map_outputs != nullptr) {
-    for (std::string& v : refs_.map_outputs->audit_ledger()) {
-      violations->push_back(std::move(v));
-    }
-  }
   for (mapred::MapOutputStore* store : refs_.tenant_stores) {
     if (store == nullptr) continue;
     for (std::string& v : store->audit_ledger()) {
@@ -128,11 +123,8 @@ void Auditor::check_storage(std::vector<std::string>* violations) {
   // gauge must equal the ground truth and the peak must dominate it.
   const double* current = obs_.metrics.find_gauge("storage.current_bytes");
   if (current != nullptr && refs_.dfs != nullptr &&
-      (refs_.map_outputs != nullptr || !refs_.tenant_stores.empty())) {
+      !refs_.tenant_stores.empty()) {
     Bytes outputs = 0;
-    if (refs_.map_outputs != nullptr) {
-      outputs += refs_.map_outputs->total_used();
-    }
     for (mapred::MapOutputStore* store : refs_.tenant_stores) {
       if (store != nullptr) outputs += store->total_used();
     }
@@ -161,9 +153,6 @@ void Auditor::check_storage(std::vector<std::string>* violations) {
       const Bytes physical = refs_.cluster->ram_used(n);
       Bytes logical = 0;
       if (refs_.dfs != nullptr) logical += refs_.dfs->mem_used_on_node(n);
-      if (refs_.map_outputs != nullptr) {
-        logical += refs_.map_outputs->mem_used_on_node(n);
-      }
       for (mapred::MapOutputStore* store : refs_.tenant_stores) {
         if (store != nullptr) logical += store->mem_used_on_node(n);
       }
@@ -191,14 +180,10 @@ std::string Auditor::ledger_digest(cluster::NodeId n) const {
     os << "dfs=" << refs_.dfs->used_on_node(n) << ",mem="
        << refs_.dfs->mem_used_on_node(n);
   }
-  const auto emit_store = [&](const mapred::MapOutputStore* store) {
-    if (store == nullptr) return;
+  for (const mapred::MapOutputStore* store : refs_.tenant_stores) {
+    if (store == nullptr) continue;
     os << ";out=" << store->used_on_node(n) << ",mem="
        << store->mem_used_on_node(n);
-  };
-  emit_store(refs_.map_outputs);
-  for (const mapred::MapOutputStore* store : refs_.tenant_stores) {
-    emit_store(store);
   }
   return os.str();
 }

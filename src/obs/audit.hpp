@@ -44,10 +44,8 @@ class Auditor {
     res::FlowNetwork* net = nullptr;
     cluster::Cluster* cluster = nullptr;
     dfs::NameNode* dfs = nullptr;
-    mapred::MapOutputStore* map_outputs = nullptr;
-    /// Multi-tenant runs: every chain's persisted-map-output store.
-    /// Each ledger is recounted, and the storage-gauge cross-check sums
-    /// them all (plus `map_outputs` when also set).
+    /// Every chain's persisted-map-output store. Each ledger is
+    /// recounted, and the storage-gauge cross-check sums them all.
     std::vector<mapred::MapOutputStore*> tenant_stores;
     /// Payload store (payload-backed runs): enables the result-cache
     /// differential cross-check. Null = virtual mode, hit checks skip.

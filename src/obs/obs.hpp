@@ -76,7 +76,7 @@ struct CacheHitCheck {
   std::vector<const mapred::MapUdf*> mappers;
   std::vector<const mapred::ReduceUdf*> reducers;
   std::vector<std::uint64_t> udf_salts;
-  std::uint16_t chain = 0;  // 1-based borrower tag; 0 = single-tenant
+  std::uint16_t chain = 0;  // borrower's chain tag; 0 = a lone chain
 };
 
 /// Evidence for one journal replay: the positions a recovered
@@ -86,7 +86,7 @@ struct CacheHitCheck {
 /// live coordinator's: every adopted claim must be fully backed by the
 /// surviving cluster ledger.
 struct JournalReplayCheck {
-  std::uint16_t chain = 0;  // 1-based tag; 0 = single-tenant
+  std::uint16_t chain = 0;  // chain tag; 0 = a lone chain
   std::uint64_t replayed_records = 0;
   std::vector<std::uint32_t> positions;  // adopted as completed
   std::vector<std::uint32_t> files;      // dfs::FileId per position

@@ -97,8 +97,8 @@ std::string Tracer::export_jsonl() const {
     append_field_i32(&out, ev.index);
     out.append(",\"v\":");
     append_double(&out, ev.value);
-    // The chain tag appears only on multi-tenant events, keeping the
-    // single-tenant export (and its pinned goldens) byte-identical.
+    // The chain tag appears only when several chains share the run,
+    // keeping a lone chain's export (and its pinned goldens) unchanged.
     if (ev.chain != 0) {
       out.append(",\"c\":");
       std::snprintf(buf, sizeof(buf), "%u", ev.chain);

@@ -85,7 +85,7 @@ struct TraceEvent {
   double time;          // simulated seconds
   std::uint8_t type;    // EventType
   std::uint8_t kind;    // see kKind* above
-  std::uint16_t chain;  // 1-based chain tag under multi-tenancy; 0 = n/a
+  std::uint16_t chain;  // chain tag among several chains; 0 = untagged
   std::uint32_t node;   // kNoField when not tied to a node
   std::uint32_t job;    // logical job ordinal; kNoField when n/a
   std::uint32_t index;  // task / partition index; kNoField when n/a
@@ -111,9 +111,9 @@ class Tracer {
   bool enabled() const { return enabled_; }
 
   /// Hot-path emission: one branch when disabled, no allocation when
-  /// the ring is at capacity. `chain` is the 1-based multi-tenant chain
-  /// tag; the default 0 leaves the event untagged and the JSONL export
-  /// byte-identical to single-tenant output.
+  /// the ring is at capacity. `chain` is the chain tag (the scheduler's
+  /// tag rule: the 1-based chain id among several chains); the default
+  /// 0 leaves the event untagged, as a lone chain's are.
   void emit(double time, EventType type, std::uint8_t kind,
             std::uint32_t node, std::uint32_t job, std::uint32_t index,
             double value, std::uint16_t chain = 0) {

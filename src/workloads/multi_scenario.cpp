@@ -20,6 +20,10 @@ MultiScenario::MultiScenario(MultiScenarioConfig cfg)
   RCMP_CHECK_MSG(
       cfg_.dataset_ids.empty() || cfg_.dataset_ids.size() == cfg_.chains,
       "dataset_ids must be empty or one per chain");
+  RCMP_CHECK_MSG(cfg_.base.dataset_id == 0 || cfg_.chains == 1 ||
+                     !cfg_.dataset_ids.empty(),
+                 "base.dataset_id labels a single chain's input; give "
+                 "several chains dataset_ids");
 
   if (cfg_.base.trace_capacity > 0) {
     obs_.tracer.enable(cfg_.base.trace_capacity);
@@ -49,8 +53,7 @@ MultiScenario::MultiScenario(MultiScenarioConfig cfg)
 
   if (cfg_.base.detector.enabled) {
     detector_ = std::make_unique<cluster::FailureDetector>(
-        sim_, cluster_, cfg_.base.detector, cfg_.base.engine.detect_timeout,
-        &obs_);
+        sim_, cluster_, cfg_.base.detector, &obs_);
     if (cfg_.base.detector.audit_reconcile && auditor_ != nullptr) {
       detector_->on_detection(
           [this](cluster::NodeId n, cluster::DetectionKind kind) {
@@ -80,11 +83,15 @@ MultiScenario::MultiScenario(MultiScenarioConfig cfg)
     chain.jobs.reserve(cfg_.base.chain_length);
     for (std::uint32_t j = 0; j < cfg_.base.chain_length; ++j) {
       core::JobTemplate t;
-      // Appended in place: GCC 12 raises a false -Wrestrict on
-      // "c" + std::to_string(c).
-      t.name = "c";
-      t.name += std::to_string(c);
-      t.name += ".job";
+      // A lone chain's jobs are plain "job<j>"; among several they are
+      // "c<chain>.job<j>". Appended in place: GCC 12 raises a false
+      // -Wrestrict on "c" + std::to_string(c).
+      if (cfg_.chains > 1) {
+        t.name = "c";
+        t.name += std::to_string(c);
+        t.name += '.';
+      }
+      t.name += "job";
       t.name += std::to_string(j + 1);
       t.num_reducers = cfg_.base.reducers_per_job;
       t.map_output_ratio = 1.0;
@@ -109,24 +116,27 @@ SimTime MultiScenario::submit_time(std::uint32_t chain) const {
 }
 
 std::uint64_t MultiScenario::dataset_id_of(std::uint32_t chain) const {
-  return cfg_.dataset_ids.empty() ? 0 : cfg_.dataset_ids[chain];
+  return cfg_.dataset_ids.empty() ? cfg_.base.dataset_id
+                                  : cfg_.dataset_ids[chain];
 }
 
 mapred::Env MultiScenario::env(std::uint32_t chain) {
-  mapred::Env e{sim_,      net_,      cluster_, dfs_,
-                *stores_[chain], payloads_, &obs_};
+  mapred::Env e{sim_, net_, cluster_, dfs_, *stores_.at(chain), payloads_,
+                scheduler_->broker(chain), &obs_};
   e.detector = detector_.get();
   return e;
 }
 
 void MultiScenario::generate_input(std::uint32_t chain) {
-  // Same layout as Scenario: one partition local to each storage node,
-  // but one input file per chain — tenants do not share inputs.
+  // "randomly generated, triple replicated, binary input data",
+  // distributed evenly: one partition local to each storage node (in
+  // the collocated default, every node). One input file per chain —
+  // tenants do not share inputs.
   const auto storage = cluster_.alive_storage_nodes();
   const auto nodes = static_cast<std::uint32_t>(storage.size());
-  const dfs::FileId input =
-      dfs_.create_file("input.c" + std::to_string(chain), nodes,
-                       cfg_.base.input_replication);
+  const dfs::FileId input = dfs_.create_file(
+      cfg_.chains > 1 ? "input.c" + std::to_string(chain) : "input", nodes,
+      cfg_.base.input_replication);
   for (std::uint32_t p = 0; p < nodes; ++p) {
     const cluster::NodeId writer = storage[p];
     const auto plan =
@@ -182,14 +192,8 @@ void MultiScenario::start(core::StrategyConfig strategy) {
     middlewares_.push_back(std::make_unique<core::Middleware>(
         env(c), chains_[c], inputs_[c], strategy, cfg_.base.engine,
         rng_.fork_seed(), tenant));
-  }
-  if (chaos_ != nullptr) {
-    // Fault ordinals are global job starts across all chains: "the 5th
-    // job the cluster started", whichever tenant owns it.
-    for (auto& mw : middlewares_) {
-      mw->on_job_start(
-          [this](std::uint32_t) { chaos_->notify_job_start(++global_ordinal_); });
-    }
+    middlewares_.back()->on_job_start(
+        [this](std::uint32_t) { note_job_start(); });
   }
   for (std::uint32_t c = 0; c < cfg_.chains; ++c) {
     scheduler_->submit(c, submit_time(c), [this, c] {
@@ -211,7 +215,9 @@ std::vector<core::ChainResult> MultiScenario::finish() {
   RCMP_CHECK_MSG(all_finished(),
                  "simulation drained before every chain completed "
                  "(scheduler or engine deadlock)");
-  return results_;
+  // finish() runs once: hand the results (every run's task timings)
+  // over rather than copy them.
+  return std::move(results_);
 }
 
 std::vector<core::ChainResult> MultiScenario::run(
@@ -222,6 +228,22 @@ std::vector<core::ChainResult> MultiScenario::run(
 
 std::vector<core::ChainResult> MultiScenario::run_chaos(
     core::StrategyConfig strategy, cluster::FaultSchedule schedule) {
+  attach_chaos(std::move(schedule));
+  return run(strategy);
+}
+
+void MultiScenario::attach_failures(cluster::FailurePlan plan) {
+  RCMP_CHECK_MSG(injector_ == nullptr && !finished_,
+                 "attach_failures: once, before finish()");
+  injector_ = std::make_unique<cluster::FailureInjector>(
+      cluster_, std::move(plan), rng_.fork_seed());
+}
+
+void MultiScenario::attach_chaos(cluster::FaultSchedule schedule) {
+  RCMP_CHECK_MSG(chaos_ == nullptr && !finished_,
+                 "attach_chaos: once, before finish()");
+  // Reject master-crash events up front when no journal is attached: a
+  // crashed coordinator without a write-ahead journal cannot recover.
   cluster::validate_fault_schedule(schedule, journal_ != nullptr);
   chaos_ = std::make_unique<cluster::ChaosEngine>(
       cluster_, std::move(schedule), rng_.fork_seed());
@@ -230,16 +252,26 @@ std::vector<core::ChainResult> MultiScenario::run_chaos(
   chaos_->set_partition_corrupter(
       [this](Rng& rng) { return corrupt_random_partition(rng); });
   chaos_->set_map_output_corrupter([this](Rng& rng) {
-    // Spread corruption across tenants: start at a random chain and
-    // take the first store that still holds something corruptible.
-    const auto start = static_cast<std::uint32_t>(rng.below(cfg_.chains));
+    // Spread corruption across tenants: start at a random chain (no
+    // draw when there is no choice) and take the first store that still
+    // holds something corruptible.
+    const auto start =
+        cfg_.chains > 1 ? static_cast<std::uint32_t>(rng.below(cfg_.chains))
+                        : 0u;
     for (std::uint32_t i = 0; i < cfg_.chains; ++i) {
       const std::uint32_t c = (start + i) % cfg_.chains;
       if (stores_[c]->corrupt_one(rng)) return true;
     }
     return false;
   });
-  return run(strategy);
+}
+
+void MultiScenario::note_job_start() {
+  // Fault ordinals are global job starts across all chains: "the 5th
+  // job the cluster started", whichever tenant owns it.
+  ++global_ordinal_;
+  if (injector_ != nullptr) injector_->notify_job_start(global_ordinal_);
+  if (chaos_ != nullptr) chaos_->notify_job_start(global_ordinal_);
 }
 
 bool MultiScenario::crash_master() {
@@ -264,10 +296,22 @@ bool MultiScenario::crash_master() {
   return true;
 }
 
+void MultiScenario::arm_master_crash(std::uint64_t at_record) {
+  RCMP_CHECK_MSG(journal_ != nullptr,
+                 "arm_master_crash needs ScenarioConfig::journal");
+  journal_->arm_crash(at_record, [this] {
+    // Defer through the queue: the sealing append sits somewhere inside
+    // the coordinator's own call stack, and destroying that state
+    // re-entrantly would be use-after-free by design.
+    sim_.schedule_after(0.0, [this] { crash_master(); });
+  });
+}
+
 bool MultiScenario::corrupt_random_partition(Rng& rng) {
   // Candidates: written, available partitions of every chain's
-  // *intermediate* outputs (final outputs are never re-read, so a flip
-  // there would be undetectable — same rule as Scenario).
+  // *intermediate* outputs. Final outputs are excluded — nothing
+  // re-reads them, so read-path verification could never catch the flip
+  // and the campaign's final checksum would be silently wrong.
   std::vector<std::pair<dfs::FileId, dfs::PartitionIndex>> candidates;
   for (std::uint32_t c = 0; c < cfg_.chains; ++c) {
     if (c >= middlewares_.size()) break;

@@ -1,5 +1,6 @@
 // MultiScenario: N concurrent chains on one shared cluster, arbitrated
-// by a core::ChainScheduler.
+// by a core::ChainScheduler. N = 1 is the paper's setting — one chain on
+// a dedicated cluster — and workloads::Scenario is exactly that.
 //
 // Shares everything a real multi-tenant deployment would share — the
 // simulation, the flow network, the cluster, the DFS (globally-unique
@@ -10,16 +11,22 @@
 // is keyed by logical job id, which collides across chains) and its own
 // Middleware.
 //
-// Like Scenario, a MultiScenario is one-shot. run() drives every chain
-// to completion; start()/finish() split the same flow for tests that
-// need to interleave their own events (kills, inspections) with the
-// simulation.
+// A MultiScenario is one-shot. run() drives every chain to completion;
+// start()/finish() split the same flow for tests that need to
+// interleave their own events (kills, inspections) with the simulation.
+//
+// Fault sources — the paper's ordinal kill plan and the typed chaos
+// engine — attach before or after start(); each draws its seed from the
+// scenario's stream at the moment it attaches, so the attach point fixes
+// the seed order. Their ordinals count job starts globally across
+// chains.
 #pragma once
 
 #include <memory>
 #include <vector>
 
 #include "cluster/chaos.hpp"
+#include "cluster/failure_injector.hpp"
 #include "core/journal.hpp"
 #include "core/middleware.hpp"
 #include "core/result_cache.hpp"
@@ -45,12 +52,12 @@ struct MultiScenarioConfig {
   /// outputs; 0 disables cross-chain eviction.
   Bytes shared_storage_budget = 0;
   /// Result-cache dataset identity per chain; empty = every chain gets
-  /// a distinct input and dataset_id 0 (caching inert, pre-cache
-  /// behavior byte-identical). When set (one id per chain), chains with
-  /// equal non-zero ids receive *byte-identical* input records — the
-  /// precondition for cross-tenant cache hits — and the id flows into
-  /// TenantContext::dataset_id. Id 0 keeps that chain's input distinct
-  /// and its caching disabled.
+  /// a distinct input, and base.dataset_id labels it (allowed only for
+  /// a single chain: distinct inputs cannot share an identity). When
+  /// set (one id per chain), chains with equal non-zero ids receive
+  /// *byte-identical* input records — the precondition for cross-tenant
+  /// cache hits — and the id flows into TenantContext::dataset_id. Id 0
+  /// keeps that chain's input distinct and its caching disabled.
   std::vector<std::uint64_t> dataset_ids;
   /// Cache knobs applied when the strategy arms the result cache.
   core::ResultCacheConfig cache;
@@ -67,11 +74,20 @@ class MultiScenario {
   std::vector<core::ChainResult> finish();
   /// start() + finish().
   std::vector<core::ChainResult> run(core::StrategyConfig strategy);
-  /// Run under a typed FaultSchedule. Fault ordinals count job starts
-  /// *globally* across chains (the cluster-operator view). Corruption
-  /// targets a random chain's intermediate outputs / map-output store.
+  /// attach_chaos() + run(): the chaos seed is drawn before the
+  /// middlewares' seeds.
   std::vector<core::ChainResult> run_chaos(core::StrategyConfig strategy,
                                            cluster::FaultSchedule schedule);
+
+  /// Arm the paper's ordinal kill plan (cluster/failure_injector.hpp)
+  /// on global job-start ordinals. Before or after start(), once.
+  void attach_failures(cluster::FailurePlan plan);
+  /// Arm a typed FaultSchedule (the chaos engine) on global job-start
+  /// ordinals. Corruption targets a random chain's intermediate outputs
+  /// / map-output store. Throws ConfigError for a schedule the scenario
+  /// cannot run (kMasterCrash without base.journal). Before or after
+  /// start(), once.
+  void attach_chaos(cluster::FaultSchedule schedule);
 
   // --- introspection --------------------------------------------------
   sim::Simulation& sim() { return sim_; }
@@ -82,11 +98,14 @@ class MultiScenario {
   /// Null when base.detector.enabled is false.
   cluster::FailureDetector* detector() { return detector_.get(); }
   core::ChainScheduler& scheduler() { return *scheduler_; }
+  /// Null unless attach_failures() was called.
+  cluster::FailureInjector* injector() { return injector_.get(); }
   /// Null unless started with StrategyConfig::result_cache set.
   core::ResultCache* result_cache() { return result_cache_.get(); }
   /// Null unless base.journal is set (one shared journal, records
   /// carry each tenant's chain tag).
   core::DecisionJournal* journal() { return journal_.get(); }
+  /// Null unless attach_chaos() was called.
   cluster::ChaosEngine* chaos() { return chaos_.get(); }
 
   /// Crash and recover the coordinator (scheduler + all unfinished
@@ -94,8 +113,16 @@ class MultiScenario {
   /// reset once, then every tenant replays in chain order — a lease on
   /// an entry whose owner recovers later is simply not re-adopted (the
   /// borrower recomputes; wasted work, never wrong bytes). False when
-  /// no journal is attached or no chain is still running.
+  /// no journal is attached or no chain is still running. ChaosEngine's
+  /// kMasterCrash events land here.
   bool crash_master();
+
+  /// Crash-point fuzzing: seal the journal at record `at_record`
+  /// (0-based; that append and everything after it is lost) and crash
+  /// the master. The crash itself is deferred through the event queue so
+  /// destruction never happens re-entrantly inside the appending call.
+  void arm_master_crash(std::uint64_t at_record);
+
   const MultiScenarioConfig& config() const { return cfg_; }
   std::uint32_t num_chains() const { return cfg_.chains; }
 
@@ -109,6 +136,10 @@ class MultiScenario {
   dfs::FileId input_file(std::uint32_t chain) const {
     return inputs_.at(chain);
   }
+  /// The substrate chain `chain`'s engines run on.
+  mapred::Env env(std::uint32_t chain);
+  /// The chain's job templates; edit them before start().
+  core::ChainSpec& chain(std::uint32_t c) { return chains_.at(c); }
 
   /// Payload mode: checksum of one chain's final job output.
   mapred::Checksum final_output_checksum(std::uint32_t chain);
@@ -118,8 +149,10 @@ class MultiScenario {
   bool all_finished() const;
 
  private:
-  mapred::Env env(std::uint32_t chain);
   void generate_input(std::uint32_t chain);
+  /// Job-start observer of every middleware: advances the global
+  /// ordinal and notifies the attached fault sources.
+  void note_job_start();
   bool corrupt_random_partition(Rng& rng);
   double weight_of(std::uint32_t chain) const;
   SimTime submit_time(std::uint32_t chain) const;
@@ -157,6 +190,7 @@ class MultiScenario {
   /// middlewares that append to it.
   std::unique_ptr<core::DecisionJournal> journal_;
   std::vector<std::unique_ptr<core::Middleware>> middlewares_;
+  std::unique_ptr<cluster::FailureInjector> injector_;
   std::unique_ptr<cluster::ChaosEngine> chaos_;
   std::uint32_t global_ordinal_ = 0;
   /// Chains still running; the detector stops when it reaches zero.

@@ -45,8 +45,8 @@ struct ScenarioConfig {
 
   /// Heartbeat failure detection (cluster/detector.hpp). Disabled by
   /// default: the scenario keeps the paper's oracle model and every
-  /// pre-detector run stays bit-identical. A negative
-  /// detector.suspicion_timeout inherits engine.detect_timeout.
+  /// pre-detector run stays bit-identical. detector.suspicion_timeout
+  /// (30 s by default) replaces engine.detect_timeout when enabled.
   cluster::DetectorConfig detector;
 
   /// Install the invariant auditor (obs/audit.hpp): every job boundary

@@ -1,23 +1,18 @@
-// Scenario: one fully wired experiment — simulation, flow network,
-// cluster, DFS, stores, the paper's chain workload, a failure plan and a
-// strategy — run start to finish.
+// Scenario: the paper's experiment — one chain on a dedicated cluster
+// (simulation, flow network, cluster, DFS, stores, the chain workload, a
+// failure plan and a strategy) run start to finish.
+//
+// A single chain is a one-tenant run: a Scenario is a MultiScenario of
+// one chain, and every accessor here pins chain 0 of it. The scheduler's
+// tag rule keeps a one-chain run's trace events untagged and its metric
+// names bare.
 //
 // A Scenario is one-shot: construct, optionally tweak, call run() once.
 // Benches and tests construct a fresh Scenario per data point, which is
 // also what guarantees statistical independence across seeds.
 #pragma once
 
-#include <memory>
-#include <optional>
-
-#include "cluster/chaos.hpp"
-#include "cluster/failure_injector.hpp"
-#include "core/journal.hpp"
-#include "core/middleware.hpp"
-#include "core/result_cache.hpp"
-#include "obs/audit.hpp"
-#include "workloads/presets.hpp"
-#include "workloads/udfs.hpp"
+#include "workloads/multi_scenario.hpp"
 
 namespace rcmp::workloads {
 
@@ -41,93 +36,48 @@ class Scenario {
                               cluster::FaultSchedule schedule);
 
   // --- introspection for tests and benches ---------------------------
-  mapred::Env env() {
-    mapred::Env e{sim_,         net_,       cluster_, dfs_,
-                  map_outputs_, payloads_, &obs_};
-    e.detector = detector_.get();
-    return e;
-  }
-  sim::Simulation& sim() { return sim_; }
-  cluster::Cluster& cluster() { return cluster_; }
-  dfs::NameNode& dfs() { return dfs_; }
-  mapred::MapOutputStore& map_outputs() { return map_outputs_; }
-  mapred::PayloadStore& payloads() { return payloads_; }
-  dfs::FileId input_file() const { return input_; }
-  const ScenarioConfig& config() const { return cfg_; }
-  core::Middleware& middleware() { return *middleware_; }
-  cluster::FailureInjector* injector() { return injector_.get(); }
-  cluster::ChaosEngine* chaos() { return chaos_.get(); }
-  obs::Observability& obs() { return obs_; }
+  mapred::Env env() { return ms_.env(0); }
+  sim::Simulation& sim() { return ms_.sim(); }
+  cluster::Cluster& cluster() { return ms_.cluster(); }
+  dfs::NameNode& dfs() { return ms_.dfs(); }
+  mapred::MapOutputStore& map_outputs() { return ms_.map_outputs(0); }
+  mapred::PayloadStore& payloads() { return ms_.payloads(); }
+  dfs::FileId input_file() const { return ms_.input_file(0); }
+  const ScenarioConfig& config() const { return ms_.config().base; }
+  /// Valid once run()/run_chaos() has started the chain.
+  core::Middleware& middleware() { return ms_.middleware(0); }
+  cluster::FailureInjector* injector() { return ms_.injector(); }
+  cluster::ChaosEngine* chaos() { return ms_.chaos(); }
+  obs::Observability& obs() { return ms_.obs(); }
   /// Null when ScenarioConfig::audit is false.
-  obs::Auditor* auditor() { return auditor_.get(); }
+  obs::Auditor* auditor() { return ms_.auditor(); }
   /// Null when ScenarioConfig::detector.enabled is false.
-  cluster::FailureDetector* detector() { return detector_.get(); }
+  cluster::FailureDetector* detector() { return ms_.detector(); }
   /// Null unless run with StrategyConfig::result_cache set.
-  core::ResultCache* result_cache() { return result_cache_.get(); }
+  core::ResultCache* result_cache() { return ms_.result_cache(); }
   /// Null unless ScenarioConfig::journal is set.
-  core::DecisionJournal* journal() { return journal_.get(); }
+  core::DecisionJournal* journal() { return ms_.journal(); }
 
-  /// Crash and recover the coordinator now: middleware state is
-  /// destroyed, the shared registries (result cache, detector beliefs)
-  /// are reset, and the chain resumes by replaying the journal against
-  /// the surviving cluster ledger. False when there is nothing to crash
-  /// (no journal, chain finished / not yet started). ChaosEngine's
-  /// kMasterCrash events land here.
-  bool crash_master();
-
-  /// Crash-point fuzzing: seal the journal at record `at_record`
-  /// (0-based; that append and everything after it is lost) and crash
-  /// the master. The crash itself is deferred through the event queue so
-  /// destruction never happens re-entrantly inside the appending call.
-  void arm_master_crash(std::uint64_t at_record);
+  /// Crash and recover the coordinator now (MultiScenario::crash_master).
+  bool crash_master() { return ms_.crash_master(); }
+  /// Crash-point fuzzing (MultiScenario::arm_master_crash).
+  void arm_master_crash(std::uint64_t at_record) {
+    ms_.arm_master_crash(at_record);
+  }
 
   /// Payload mode: checksum of the final job's output records.
-  mapred::Checksum final_output_checksum();
+  mapred::Checksum final_output_checksum() {
+    return ms_.final_output_checksum(0);
+  }
   /// Payload mode: checksum of the source input records.
-  mapred::Checksum input_checksum();
-  dfs::FileId final_output_file() const;
+  mapred::Checksum input_checksum() { return ms_.input_checksum(0); }
+  dfs::FileId final_output_file() const { return ms_.final_output_file(0); }
 
   /// The chain templates (exposed so tests can customize before run()).
-  core::ChainSpec& chain() { return chain_; }
+  core::ChainSpec& chain() { return ms_.chain(0); }
 
  private:
-  void generate_input();
-  core::TenantContext make_tenant(const core::StrategyConfig& strategy);
-  core::ChainResult drive_to_completion();
-  bool corrupt_random_partition(Rng& rng);
-
-  ScenarioConfig cfg_;
-  sim::Simulation sim_;
-  res::FlowNetwork net_;
-  cluster::Cluster cluster_;
-  dfs::NameNode dfs_;
-  mapred::MapOutputStore map_outputs_;
-  mapred::PayloadStore payloads_;
-  // Declared after every audited subsystem (so hooks die first) and
-  // before the middleware (which installs a hook at construction).
-  obs::Observability obs_;
-  std::unique_ptr<obs::Auditor> auditor_;
-  /// Constructed (when enabled) before the middleware so its cluster
-  /// handlers run first: suspicion state is current when engines react.
-  std::unique_ptr<cluster::FailureDetector> detector_;
-  Rng rng_;
-
-  ChainMapper mapper_;
-  ChainReducer reducer_;
-  core::ChainSpec chain_;
-  dfs::FileId input_ = dfs::kInvalidFile;
-
-  /// Constructed lazily in run()/run_chaos() when the strategy enables
-  /// the result cache; declared before the middleware that borrows
-  /// through it.
-  std::unique_ptr<core::ResultCache> result_cache_;
-  /// Constructed when ScenarioConfig::journal is set; declared before
-  /// the middleware that appends to it.
-  std::unique_ptr<core::DecisionJournal> journal_;
-  std::unique_ptr<core::Middleware> middleware_;
-  std::unique_ptr<cluster::FailureInjector> injector_;
-  std::unique_ptr<cluster::ChaosEngine> chaos_;
-  bool ran_ = false;
+  MultiScenario ms_;
 };
 
 /// Convenience: run one scenario end to end and return the result.

@@ -19,6 +19,7 @@
 #include "cluster/chaos.hpp"
 #include "cluster/failure_injector.hpp"
 #include "core/middleware.hpp"
+#include "core/scheduler.hpp"
 #include "mapred/engine.hpp"
 #include "workloads/multi_scenario.hpp"
 #include "workloads/scenario.hpp"
@@ -112,7 +113,9 @@ inline cluster::ClusterSpec spec_of(std::uint32_t nodes,
   return spec;
 }
 
-/// Drives a single JobRun directly, without the middleware.
+/// Drives a single JobRun directly, without the middleware. Slots come
+/// from a one-chain ChainScheduler, admitted at construction, which
+/// kicks the latest run when capacity frees up (as the middleware does).
 struct EngineFixture {
   explicit EngineFixture(std::uint32_t nodes = kDefaultNodes,
                          std::uint32_t blocks_per_node = 4,
@@ -121,7 +124,15 @@ struct EngineFixture {
                          std::uint32_t reduce_slots = 1)
       : net(sim),
         cluster(sim, net, make_cluster(nodes, map_slots, reduce_slots)),
-        dfs(cluster, 64_MiB, 123) {
+        dfs(cluster, 64_MiB, 123),
+        sched(sim, cluster, dfs, nullptr) {
+    sched.add_chain(1.0, 1, &outputs);
+    sched.set_kick(0, [this] {
+      if (!runs.empty() && runs.back()->running()) runs.back()->poke();
+    });
+    sched.submit(0, 0.0, [] {});
+    sim.run();  // admission
+
     cfg.detect_timeout = 30.0;
     cfg.task_startup = 0.2;
     cfg.job_setup_time = 1.0;
@@ -151,7 +162,8 @@ struct EngineFixture {
   }
 
   mapred::Env env() {
-    return mapred::Env{sim, net, cluster, dfs, outputs, payloads};
+    return mapred::Env{sim, net, cluster, dfs, outputs, payloads,
+                       sched.broker(0)};
   }
 
   mapred::JobSpec make_spec(std::uint32_t reducers,
@@ -182,6 +194,7 @@ struct EngineFixture {
   dfs::NameNode dfs;
   mapred::MapOutputStore outputs;
   mapred::PayloadStore payloads;
+  core::ChainScheduler sched;
   mapred::EngineConfig cfg;
   dfs::FileId input = dfs::kInvalidFile;
   std::uint32_t next_ordinal = 1;

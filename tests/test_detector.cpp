@@ -1,7 +1,7 @@
 // Failure-detector coverage: heartbeat bookkeeping, detection-latency
 // bounds, false suspicion + reconciliation (with the auditor's
 // ledger-digest check), quarantine (including ChainScheduler slot
-// denial), the EngineConfig::detect_timeout shim, and the oracle-parity
+// denial), suspicion-timeout validation, and the oracle-parity
 // guarantee — detector on + no chaos must be timing-identical to the
 // pre-detector model.
 #include <gtest/gtest.h>
@@ -41,10 +41,8 @@ using workloads::Scenario;
 /// otherwise keep the event queue alive forever).
 struct DetectorFixture {
   explicit DetectorFixture(std::uint32_t nodes = 4,
-                           DetectorConfig cfg = {},
-                           SimTime fallback = 30.0)
-      : cluster(f.sim, f.net, spec_of(nodes)),
-        det(f.sim, cluster, cfg, fallback) {
+                           DetectorConfig cfg = {})
+      : cluster(f.sim, f.net, spec_of(nodes)), det(f.sim, cluster, cfg) {
     det.on_detection([this](cluster::NodeId n, DetectionKind kind) {
       detections.emplace_back(n, kind);
     });
@@ -194,26 +192,15 @@ TEST(Detector, RejoinBeforeDeadlineDeliversThePendingFailureOnce) {
   EXPECT_TRUE(d.det.schedulable(1));
 }
 
-TEST(Detector, SuspicionTimeoutShimInheritsEngineDetectTimeout) {
-  DetectorConfig inherit;  // suspicion_timeout = -1 by default
-  DetectorFixture a(/*nodes=*/2, inherit, /*fallback=*/30.0);
-  EXPECT_DOUBLE_EQ(a.det.suspicion_timeout(), 30.0);
-
-  DetectorConfig explicit_cfg;
-  explicit_cfg.suspicion_timeout = 12.5;
-  DetectorFixture b(/*nodes=*/2, explicit_cfg, /*fallback=*/30.0);
-  EXPECT_DOUBLE_EQ(b.det.suspicion_timeout(), 12.5);
-}
-
-TEST(Detector, SuspicionTimeoutShimResolvingNonPositiveIsConfigError) {
-  // The deprecated negative-timeout inheritance (rcmp_cli warns on it)
-  // must still fail loudly when the inherited engine detect timeout is
-  // itself unusable — never silently arm a zero-second deadline.
-  DetectorConfig inherit;  // suspicion_timeout = -1 by default
-  EXPECT_THROW(DetectorFixture(/*nodes=*/2, inherit, /*fallback=*/0.0),
-               ConfigError);
-  EXPECT_THROW(DetectorFixture(/*nodes=*/2, inherit, /*fallback=*/-3.0),
-               ConfigError);
+TEST(Detector, NonPositiveSuspicionTimeoutIsConfigError) {
+  // Never silently arm a zero-second (or past) deadline, and never read
+  // a negative value as "use some other timeout".
+  DetectorConfig cfg;
+  EXPECT_DOUBLE_EQ(cfg.suspicion_timeout, 30.0);  // the paper's timeout
+  cfg.suspicion_timeout = 0.0;
+  EXPECT_THROW(DetectorFixture(/*nodes=*/2, cfg), ConfigError);
+  cfg.suspicion_timeout = -3.0;
+  EXPECT_THROW(DetectorFixture(/*nodes=*/2, cfg), ConfigError);
 }
 
 TEST(Detector, QuarantineAfterThresholdButNeverTheLastNode) {
@@ -243,7 +230,7 @@ TEST(Detector, ChainSchedulerDeniesSlotsOnQuarantinedNodes) {
   dfs::NameNode dfs(cluster, 64_MiB, 1);
   DetectorConfig cfg;
   cfg.quarantine_threshold = 2;
-  FailureDetector det(f.sim, cluster, cfg, 30.0);
+  FailureDetector det(f.sim, cluster, cfg);
   core::ChainScheduler sched(f.sim, cluster, dfs, nullptr);
   sched.set_detector(&det);
   mapred::MapOutputStore store;

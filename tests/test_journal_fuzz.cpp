@@ -151,9 +151,7 @@ TEST(JournalCrashFuzz, MultiTenantSharedJournalEveryBoundary) {
     }
     for (std::size_t k = 0; k < n_records; ++k) {
       MultiScenario ms(cfg);
-      ms.journal()->arm_crash(k, [&ms] {
-        ms.sim().schedule_after(0.0, [&ms] { ms.crash_master(); });
-      });
+      ms.arm_master_crash(k);
       const auto results = ms.run(strat(Strategy::kRcmpSplit));
       for (std::size_t c = 0; c < results.size(); ++c) {
         EXPECT_TRUE(results[c].completed)

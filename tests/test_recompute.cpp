@@ -260,7 +260,11 @@ mapred::Checksum run_fig5_hazard(bool enforce_rule) {
   dfs::NameNode dfs(cl, 64 * kMiB, 5);
   MapOutputStore outputs;
   PayloadStore payloads;
-  Env env{sim, net, cl, dfs, outputs, payloads};
+  // One chain, admitted before the first job bootstraps.
+  core::ChainScheduler sched(sim, cl, dfs, nullptr);
+  sched.add_chain(1.0, 1, &outputs);
+  sched.submit(0, 0.0, [] {});
+  Env env{sim, net, cl, dfs, outputs, payloads, sched.broker(0)};
 
   EngineConfig ecfg;
   ecfg.task_startup = 0.1;
