@@ -661,7 +661,7 @@ void Middleware::submit_next() {
 void Middleware::on_run_done(mapred::JobRun& run) {
   RCMP_CHECK(&run == current_);
   current_ = nullptr;
-  update_pinned_jobs();  // the finished run leaves the recompute frontier
+  update_pinned_jobs();  // the finished run is no longer live
   const auto& res = run.result();
 
   if (res.status == mapred::JobResult::Status::kCompleted) {
@@ -1094,9 +1094,10 @@ void Middleware::update_pinned_jobs() {
   for (const PlannedSubmission& s : queue_) {
     if (s.recompute) pinned.insert(s.logical_id);
   }
-  if (current_ != nullptr && current_->running() && current_recompute_) {
-    pinned.insert(current_logical_);
-  }
+  // The live job, initial or recompute run alike: its reducers still
+  // shuffle the outputs it registered (and reused). submit_next pins it
+  // before start(), so this must not wait for running().
+  if (current_ != nullptr) pinned.insert(current_logical_);
   env_.map_outputs.set_pinned_jobs(std::move(pinned));
 }
 
@@ -1125,8 +1126,9 @@ void Middleware::enforce_storage_budget() {
         env_.dfs.total_used() + env_.map_outputs.total_used();
     if (used <= strategy_.storage_budget) break;
     if (env_.map_outputs.used_for_job(l) == 0) continue;
-    // Never evict a job on the live recompute frontier of an in-flight
-    // replan — its persisted outputs are the copies the replan counts
+    // Never evict a pinned job — the live one, whose reducers still
+    // shuffle its outputs, or one on the recompute frontier of an
+    // in-flight replan, whose outputs are the copies the replan counts
     // on. The auditor cross-checks every victim choice.
     if (env_.map_outputs.job_pinned(l)) continue;
     if (env_.obs != nullptr) {

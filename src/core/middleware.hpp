@@ -234,9 +234,10 @@ class Middleware {
   /// persistence point? Same Young's interval shape as replication,
   /// with the (cheaper) disk-checkpoint cost.
   bool should_persist_disk_now() const;
-  /// Pin the recompute frontier (queued recompute submissions plus the
-  /// running one) against storage eviction: evicting those persisted
-  /// map outputs would delete the copies an in-flight replan counts on.
+  /// Pin the queued recompute submissions and the live job against
+  /// storage eviction: evicting those persisted map outputs would
+  /// delete the copies an in-flight replan counts on, or outputs the
+  /// live job's reducers are still shuffling.
   void update_pinned_jobs();
   /// Memory-tier bytes demoted to disk on node `n` (spill hook).
   void note_spill(cluster::NodeId n, Bytes bytes);

@@ -347,9 +347,10 @@ void ChainScheduler::enforce_storage() {
     std::uint32_t job = obs::kNoField;
     for (std::uint32_t j = 0; j < cs.num_jobs && freed == 0; ++j) {
       if (cs.store->used_for_job(j) == 0) continue;
-      // A job on the live recompute frontier of an in-flight replan is
-      // off limits: its persisted outputs are the copies that replan
-      // counts on. The auditor cross-checks every victim choice.
+      // A pinned job is off limits: the chain's live job (its reducers
+      // still shuffle those outputs) or one on the recompute frontier
+      // of an in-flight replan (the copies that replan counts on). The
+      // auditor cross-checks every victim choice.
       if (cs.store->job_pinned(j)) continue;
       if (obs_ != nullptr) obs_->check_eviction(cs.store->job_pinned(j), j);
       freed = cs.store->evict_upto(j, need);

@@ -185,23 +185,24 @@ void JobRun::build_map_tasks() {
         t.input_bytes = env_.dfs.block(t.block_id).size;
         t.input_layout_version = part.layout_version;
 
-        const auto key = t.key(spec_.logical_id);
+        const auto m = static_cast<std::uint32_t>(maps_.size());
+        maps_.push_back(std::move(t));
         if (directive_.active && directive_.reuse_map_outputs &&
-            map_output_reusable(key, t.input_layout_version)) {
-          const MapOutput* out = env_.map_outputs.find(key);
-          t.state = MapState::kReused;
-          t.node = out->node;
-          t.out_bytes = out->total_bytes;
+            map_output_reusable(m)) {
+          MapTask& reused = maps_[m];
+          const MapOutput* out = output_of(m);
+          reused.state = MapState::kReused;
+          reused.node = out->node;
+          reused.out_bytes = out->total_bytes;
           if (env_.obs != nullptr) {
             env_.obs->check_reuse(obs::ReuseCheck{
-                spec_.logical_id, t.input_partition, t.block_index,
-                out->input_layout_version, t.input_layout_version,
-                directive_.enforce_fig5_rule});
+                spec_.logical_id, reused.input_partition,
+                reused.block_index, out->input_layout_version,
+                reused.input_layout_version, directive_.enforce_fig5_rule});
           }
         } else {
           ++maps_remaining_;
         }
-        maps_.push_back(std::move(t));
       }
     }
   }
@@ -212,14 +213,15 @@ void JobRun::build_map_tasks() {
   RCMP_CHECK_MSG(!maps_.empty(), "job has no input blocks");
 }
 
-bool JobRun::map_output_reusable(const MapOutputKey& key,
-                                 std::uint64_t layout_version) const {
+bool JobRun::map_output_reusable(std::uint32_t m) {
+  const MapTask& t = maps_[m];
   if (directive_.enforce_fig5_rule) {
-    return env_.map_outputs.usable(key, layout_version, env_.cluster);
+    return env_.map_outputs.usable(t.key(spec_.logical_id),
+                                   t.input_layout_version, env_.cluster);
   }
   // Rule disabled (demonstration of the Fig. 5 hazard): accept any
   // surviving output regardless of input-layout compatibility.
-  const MapOutput* out = env_.map_outputs.find(key);
+  const MapOutput* out = output_of(m);
   return out != nullptr && !out->lost &&
          env_.cluster.storage_alive(out->node);
 }
@@ -625,8 +627,15 @@ void JobRun::on_mapper_available(std::uint32_t m) {
     ReduceTask& rt = reduces_[r];
     if (rt.state == ReduceState::kDone) continue;
     if (rt.contrib[m] != ContribState::kWaiting) continue;
-    mark_contrib_ready(r, m);
-    if (rt.state == ReduceState::kFetching) flush_ready(r, /*force=*/false);
+    const cluster::NodeId src = mark_contrib_ready(r, m);
+    // Only src's buffer grew. Every other serving source of a fetching
+    // reducer is below the threshold already: buffers grow only here
+    // (each growth is flushed on the spot) and in reset_reduce_task
+    // (the reducer then restarts with a forced flush), and a source
+    // that stops serving is cleared by halt_fetches_from. So checking
+    // src alone starts exactly the flow a scan of every node would.
+    if (src != cluster::kInvalidNode && rt.state == ReduceState::kFetching)
+      flush_source(r, src, /*force=*/false);
   }
 }
 
@@ -642,7 +651,7 @@ void JobRun::reset_map_task(std::uint32_t m) {
       t.state == MapState::kDone || t.state == MapState::kReused;
   cancel_task_work(t);
   if (was_available) {
-    const MapOutput* out = env_.map_outputs.find(t.key(spec_.logical_id));
+    const MapOutput* out = output_of(m);
     const bool intact = out != nullptr && !out->lost &&
                         env_.cluster.storage_alive(out->node);
     if (t.state == MapState::kDone && !intact) {
@@ -983,16 +992,25 @@ void JobRun::on_map_phase_maybe_done() {
   if (state_ != RunState::kRunning) return;
   if (maps_remaining_ != 0) return;
   result_.map_phase_end = env_.sim.now();
-  flush_all_ready(/*force=*/true);
+  flush_all_ready();
 }
 
 // ---------------------------------------------------------------------
 // shuffle
 // ---------------------------------------------------------------------
 
-double JobRun::contrib_bytes(std::uint32_t r, std::uint32_t m) const {
-  const MapOutput* out =
-      env_.map_outputs.find(maps_[m].key(spec_.logical_id));
+const MapOutput* JobRun::output_of(std::uint32_t m) {
+  MapTask& t = maps_[m];
+  const std::uint64_t erasures = env_.map_outputs.erasures();
+  if (t.output == nullptr || t.output_erasures != erasures) {
+    t.output = env_.map_outputs.find(t.key(spec_.logical_id));
+    t.output_erasures = erasures;
+  }
+  return t.output;
+}
+
+double JobRun::contrib_bytes(std::uint32_t r, std::uint32_t m) {
+  const MapOutput* out = output_of(m);
   RCMP_CHECK_MSG(out != nullptr, "contribution from unregistered mapper");
   const ReduceTask& rt = reduces_[r];
   const std::uint32_t split =
@@ -1000,77 +1018,81 @@ double JobRun::contrib_bytes(std::uint32_t r, std::uint32_t m) const {
   return out->per_reducer_bytes[rt.partition] / split;
 }
 
-void JobRun::mark_contrib_ready(std::uint32_t r, std::uint32_t m) {
+cluster::NodeId JobRun::mark_contrib_ready(std::uint32_t r,
+                                           std::uint32_t m) {
   ReduceTask& rt = reduces_[r];
   RCMP_CHECK(rt.contrib[m] == ContribState::kWaiting);
-  const MapOutput* out =
-      env_.map_outputs.find(maps_[m].key(spec_.logical_id));
+  const MapOutput* out = output_of(m);
   if (out == nullptr || out->lost || !source_serving(out->node)) {
-    return;  // stays kWaiting; a rerun will make it ready again
+    // Stays kWaiting; a rerun will make it ready again.
+    return cluster::kInvalidNode;
   }
   rt.contrib[m] = ContribState::kReady;
   rt.ready_bytes[out->node] += contrib_bytes(r, m);
   rt.ready[out->node].push_back(m);
+  return out->node;
 }
 
-void JobRun::flush_ready(std::uint32_t r, bool force) {
+void JobRun::flush_source(std::uint32_t r, cluster::NodeId src,
+                          bool force) {
   ReduceTask& rt = reduces_[r];
   RCMP_CHECK(rt.state == ReduceState::kFetching);
-  for (cluster::NodeId src = 0; src < env_.cluster.size(); ++src) {
-    // Zero-byte contributions (empty payload buckets) still need a
-    // (zero-byte) fetch so the reducer's unfetched count drains.
-    if (rt.ready[src].empty()) continue;
-    if (!force && rt.ready_bytes[src] < flush_threshold_) continue;
-    if (!source_serving(src)) continue;  // rewound at detection/suspicion
+  // Zero-byte contributions (empty payload buckets) still need a
+  // (zero-byte) fetch so the reducer's unfetched count drains.
+  if (rt.ready[src].empty()) return;
+  if (!force && rt.ready_bytes[src] < flush_threshold_) return;
+  if (!source_serving(src)) return;  // rewound at detection/suspicion
 
-    FetchFlow ff;
-    ff.reducer = r;
-    ff.reducer_epoch = rt.epoch;
-    ff.src = src;
-    ff.mappers = std::move(rt.ready[src]);
-    ff.bytes = rt.ready_bytes[src];
-    rt.ready[src].clear();
-    rt.ready_bytes[src] = 0.0;
-    ff.mapper_bytes.reserve(ff.mappers.size());
+  FetchFlow ff;
+  ff.reducer = r;
+  ff.reducer_epoch = rt.epoch;
+  ff.src = src;
+  ff.mappers = std::move(rt.ready[src]);
+  ff.bytes = rt.ready_bytes[src];
+  rt.ready[src].clear();
+  rt.ready_bytes[src] = 0.0;
+  ff.mapper_bytes.reserve(ff.mappers.size());
+  for (std::uint32_t m : ff.mappers) {
+    RCMP_CHECK(rt.contrib[m] == ContribState::kReady);
+    rt.contrib[m] = ContribState::kInflight;
+    ff.mapper_bytes.push_back(contrib_bytes(r, m));
+  }
+
+  // Serve from memory only when every output in the batch is still
+  // resident — a partially-spilled batch streams at disk speed.
+  cluster::StorageTier src_tier = cluster::StorageTier::kDisk;
+  if (map_output_tier() == cluster::StorageTier::kMemory) {
+    src_tier = cluster::StorageTier::kMemory;
     for (std::uint32_t m : ff.mappers) {
-      RCMP_CHECK(rt.contrib[m] == ContribState::kReady);
-      rt.contrib[m] = ContribState::kInflight;
-      ff.mapper_bytes.push_back(contrib_bytes(r, m));
-    }
-
-    // Serve from memory only when every output in the batch is still
-    // resident — a partially-spilled batch streams at disk speed.
-    cluster::StorageTier src_tier = cluster::StorageTier::kDisk;
-    if (map_output_tier() == cluster::StorageTier::kMemory) {
-      src_tier = cluster::StorageTier::kMemory;
-      for (std::uint32_t m : ff.mappers) {
-        const MapOutput* out =
-            env_.map_outputs.find(maps_[m].key(spec_.logical_id));
-        if (out == nullptr || out->tier != cluster::StorageTier::kMemory) {
-          src_tier = cluster::StorageTier::kDisk;
-          break;
-        }
+      const MapOutput* out = output_of(m);
+      if (out == nullptr || out->tier != cluster::StorageTier::kMemory) {
+        src_tier = cluster::StorageTier::kDisk;
+        break;
       }
     }
-    const std::uint64_t token = next_fetch_token_++;
-    res::FlowSpec fs;
-    auto path = env_.cluster.path_transfer(src, rt.node,
-                                           /*read_src=*/true,
-                                           /*write_dst=*/true, src_tier,
-                                           map_output_tier());
-    fs.path = std::move(path.links);
-    fs.weights = std::move(path.weights);
-    fs.bytes = round_bytes(ff.bytes);
-    fs.on_complete = [this, token] { fetch_done(token); };
-    ff.flow = env_.net.start_flow(std::move(fs));
-    active_fetches_.emplace(token, std::move(ff));
   }
+  const std::uint64_t token = next_fetch_token_++;
+  res::FlowSpec fs;
+  auto path = env_.cluster.path_transfer(src, rt.node,
+                                         /*read_src=*/true,
+                                         /*write_dst=*/true, src_tier,
+                                         map_output_tier());
+  fs.path = std::move(path.links);
+  fs.weights = std::move(path.weights);
+  fs.bytes = round_bytes(ff.bytes);
+  fs.on_complete = [this, token] { fetch_done(token); };
+  ff.flow = env_.net.start_flow(std::move(fs));
+  active_fetches_.emplace(token, std::move(ff));
 }
 
-void JobRun::flush_all_ready(bool force) {
+void JobRun::flush_ready(std::uint32_t r) {
+  for (cluster::NodeId src = 0; src < env_.cluster.size(); ++src)
+    flush_source(r, src, /*force=*/true);
+}
+
+void JobRun::flush_all_ready() {
   for (std::uint32_t r = 0; r < reduces_.size(); ++r) {
-    if (reduces_[r].state == ReduceState::kFetching)
-      flush_ready(r, force);
+    if (reduces_[r].state == ReduceState::kFetching) flush_ready(r);
   }
 }
 
@@ -1099,14 +1121,13 @@ void JobRun::fetch_done(std::uint64_t token) {
   for (std::size_t i = 0; i < ff.mappers.size(); ++i) {
     const std::uint32_t m = ff.mappers[i];
     RCMP_CHECK(rt.contrib[m] == ContribState::kInflight);
-    const auto key = maps_[m].key(spec_.logical_id);
-    const MapOutput* out = env_.map_outputs.find(key);
+    const MapOutput* out = output_of(m);
     if (out == nullptr) {
       rt.contrib[m] = ContribState::kWaiting;
       continue;
     }
     if (cfg_.verify_on_read) {
-      const BucketState bs = env_.map_outputs.bucket_state(key, rt.partition);
+      const BucketState bs = MapOutputStore::bucket_state(*out, rt.partition);
       if (bs != BucketState::kIntact) {
         if (bs == BucketState::kMissingSum && env_.obs != nullptr) {
           // An unverifiable bucket must never pass silently: surface it
@@ -1173,7 +1194,7 @@ void JobRun::reduce_startup_done(std::uint32_t r, std::uint32_t epoch) {
   rt.ev = sim::kInvalidEvent;
   rt.state = ReduceState::kFetching;
   // Late-wave reducers find all map outputs ready: fetch them at once.
-  flush_ready(r, /*force=*/true);
+  flush_ready(r);
   maybe_start_reduce_compute(r);
 }
 
@@ -1481,7 +1502,7 @@ JobRun::FailureOutcome JobRun::on_detected_failure(cluster::NodeId n) {
     MapTask& t = maps_[m];
     if (t.state != MapState::kDone && t.state != MapState::kReused)
       continue;
-    const MapOutput* out = env_.map_outputs.find(t.key(spec_.logical_id));
+    const MapOutput* out = output_of(m);
     const bool output_ok =
         out != nullptr && !out->lost && source_serving(out->node);
     if (output_ok) continue;
@@ -1692,7 +1713,7 @@ void JobRun::on_node_reconciled(cluster::NodeId n) {
       t.spurious = false;  // replacement already committed; keep it
       continue;
     }
-    const MapOutput* out = env_.map_outputs.find(t.key(spec_.logical_id));
+    const MapOutput* out = output_of(m);
     if (out == nullptr || out->lost || !source_serving(out->node)) continue;
     cancel_duplicate(m);
     if (t.state == MapState::kPending) {
@@ -1757,12 +1778,12 @@ void JobRun::on_source_reachable(cluster::NodeId n) {
     const MapTask& t = maps_[m];
     if (t.state != MapState::kDone && t.state != MapState::kReused)
       continue;
-    const MapOutput* out = env_.map_outputs.find(t.key(spec_.logical_id));
+    const MapOutput* out = output_of(m);
     if (out != nullptr && !out->lost && out->node == n) {
       on_mapper_available(m);
     }
   }
-  if (maps_remaining_ == 0) flush_all_ready(/*force=*/true);
+  if (maps_remaining_ == 0) flush_all_ready();
   schedule_tasks();
 }
 

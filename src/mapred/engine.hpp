@@ -193,6 +193,12 @@ class JobRun {
     /// cancel the re-execution and readopt the output.
     bool spurious = false;
 
+    /// Validated handle to the registered output (see output_of): the
+    /// last non-null MapOutputStore::find() and the store's erasures()
+    /// when it was taken.
+    const MapOutput* output = nullptr;
+    std::uint64_t output_erasures = 0;
+
     /// Map-output identity: the partition coordinate encodes which
     /// input file the block belongs to (multi-input DAG jobs).
     MapOutputKey key(std::uint32_t logical_job) const {
@@ -294,8 +300,7 @@ class JobRun {
   void bootstrap();  // runs after job_setup_time
   void build_map_tasks();
   void build_reduce_tasks();
-  bool map_output_reusable(const MapOutputKey& key,
-                           std::uint64_t layout_version) const;
+  bool map_output_reusable(std::uint32_t m);
 
   // --- scheduling ----------------------------------------------------
   void schedule_tasks();
@@ -349,10 +354,21 @@ class JobRun {
   ReduceDuplicate* find_rdup(std::uint32_t r, std::uint64_t token);
 
   // --- shuffle ---------------------------------------------------------
-  void mark_contrib_ready(std::uint32_t r, std::uint32_t m);
-  double contrib_bytes(std::uint32_t r, std::uint32_t m) const;
-  void flush_ready(std::uint32_t r, bool force);
-  void flush_all_ready(bool force);
+  /// Mapper `m`'s registered output, nullptr if none. Served from the
+  /// task's handle; the store is searched again only after an erase
+  /// (or while nothing was found), so a dropped output is never read.
+  const MapOutput* output_of(std::uint32_t m);
+  /// Buffer `m`'s contribution to reducer `r` at its output's node and
+  /// return that node; kInvalidNode (nothing buffered) when the output
+  /// is missing, lost or not served.
+  cluster::NodeId mark_contrib_ready(std::uint32_t r, std::uint32_t m);
+  double contrib_bytes(std::uint32_t r, std::uint32_t m);
+  /// Start one coalesced fetch of `r`'s buffer at `src`: any non-empty
+  /// buffer when forced, otherwise only one at the flush threshold.
+  void flush_source(std::uint32_t r, cluster::NodeId src, bool force);
+  /// Forced flush of every source of `r`, in ascending node order.
+  void flush_ready(std::uint32_t r);
+  void flush_all_ready();
   void fetch_done(std::uint64_t token);
   void cancel_fetches_of_reducer(std::uint32_t r);
 
@@ -417,7 +433,6 @@ class JobRun {
   void run_map_udf(std::uint32_t m, MapOutput& out) const;
 
   bool payload_mode() const;
-  double flush_threshold() const { return flush_threshold_; }
 
   // --- slot accounting (through the broker) ----------------------------
   bool map_slot_free(cluster::NodeId n) const;

@@ -155,6 +155,7 @@ void MapOutputStore::drop(const MapOutputKey& key) {
   if (it == outputs_.end()) return;
   if (!it->second.lost) ledger_remove(key, it->second);
   outputs_.erase(it);
+  ++erasures_;
 }
 
 void MapOutputStore::mark_lost(const MapOutputKey& key) {
@@ -168,20 +169,25 @@ BucketState MapOutputStore::bucket_state(const MapOutputKey& key,
                                          std::uint32_t partition) const {
   const MapOutput* out = find(key);
   if (out == nullptr) return BucketState::kIntact;  // nothing stored
-  if (out->corrupt) return BucketState::kCorrupt;
+  return bucket_state(*out, partition);
+}
+
+BucketState MapOutputStore::bucket_state(const MapOutput& out,
+                                         std::uint32_t partition) {
+  if (out.corrupt) return BucketState::kCorrupt;
   // Virtual-size mode carries no payload; the corruption marker above
   // is the whole integrity story.
-  if (out->buckets.empty()) return BucketState::kIntact;
+  if (out.buckets.empty()) return BucketState::kIntact;
   // Payload present but the requested bucket was never checksummed:
   // the read cannot be verified, so it must not pass as intact.
-  if (partition >= out->buckets.size() ||
-      partition >= out->bucket_sums.size()) {
+  if (partition >= out.buckets.size() ||
+      partition >= out.bucket_sums.size()) {
     return BucketState::kMissingSum;
   }
   Checksum sum;
-  for (const Record& r : out->buckets[partition]) sum.add(r);
-  return sum == out->bucket_sums[partition] ? BucketState::kIntact
-                                            : BucketState::kCorrupt;
+  for (const Record& r : out.buckets[partition]) sum.add(r);
+  return sum == out.bucket_sums[partition] ? BucketState::kIntact
+                                           : BucketState::kCorrupt;
 }
 
 bool MapOutputStore::corrupt_one(Rng& rng) {
@@ -216,6 +222,7 @@ void MapOutputStore::drop_job(std::uint32_t logical_job) {
     if (it->first.logical_job == logical_job) {
       if (!it->second.lost) ledger_remove(it->first, it->second);
       it = outputs_.erase(it);
+      ++erasures_;
     } else {
       ++it;
     }
@@ -247,6 +254,7 @@ Bytes MapOutputStore::evict_upto(std::uint32_t logical_job, Bytes bytes) {
     freed += charged_bytes(it->second);
     ledger_remove(key, it->second);
     outputs_.erase(it);
+    ++erasures_;
   }
   return freed;
 }

@@ -94,8 +94,15 @@ class MapOutputStore {
   /// not suffice the new output itself falls back to the disk tier.
   void put(const MapOutputKey& key, MapOutput output);
   bool contains(const MapOutputKey& key) const;
-  /// nullptr if absent.
+  /// nullptr if absent. The pointer stays valid, and sees every later
+  /// change to the output (put over the same key included), until
+  /// erasures() changes: elements survive put()'s rehashes and are only
+  /// freed by an erase.
   const MapOutput* find(const MapOutputKey& key) const;
+  /// Outputs erased so far: drop, drop_job and evict_upto, the store's
+  /// only erase sites, bump it once per output. A caller holding a
+  /// find() pointer re-finds only when this count has moved.
+  std::uint64_t erasures() const { return erasures_; }
 
   /// Reuse check: present, not lost, node alive, and layout matches.
   bool usable(const MapOutputKey& key, std::uint64_t input_layout_version,
@@ -117,6 +124,9 @@ class MapOutputStore {
   /// captured checksum is kMissingSum — never silently intact.
   BucketState bucket_state(const MapOutputKey& key,
                            std::uint32_t partition) const;
+  /// The same check on an output the caller already holds.
+  static BucketState bucket_state(const MapOutput& out,
+                                  std::uint32_t partition);
   /// True iff bucket_state is kIntact.
   bool bucket_intact(const MapOutputKey& key, std::uint32_t partition) const {
     return bucket_state(key, partition) == BucketState::kIntact;
@@ -139,10 +149,10 @@ class MapOutputStore {
   /// pinned job is never evicted — returns 0 for it.
   Bytes evict_upto(std::uint32_t logical_job, Bytes bytes);
 
-  /// Pin jobs whose outputs sit on the live recompute frontier of an
-  /// in-flight replan: they may be the sole surviving copy the replan
-  /// counts on, so eviction must not delete them. Replaces the previous
-  /// pin set; pass {} when the replan completes.
+  /// Pin jobs whose outputs must survive eviction: the live job (its
+  /// reducers are still shuffling them) and the recompute frontier of
+  /// an in-flight replan (they may be the sole surviving copy the
+  /// replan counts on). Replaces the previous pin set.
   void set_pinned_jobs(std::unordered_set<std::uint32_t> jobs) {
     pinned_jobs_ = std::move(jobs);
   }
@@ -212,6 +222,7 @@ class MapOutputStore {
   void spill_node(cluster::NodeId node, Bytes need);
 
   std::unordered_map<MapOutputKey, MapOutput, KeyHash> outputs_;
+  std::uint64_t erasures_ = 0;
   Bytes total_used_ = 0;
   std::unordered_map<std::uint32_t, Bytes> job_used_;
   std::unordered_map<cluster::NodeId, Bytes> node_used_;

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <map>
 #include <memory>
 #include <string>
 #include <utility>
@@ -84,6 +85,52 @@ inline mapred::Checksum reference_for(
   workloads::Scenario s(cfg);
   EXPECT_TRUE(s.run(strat(core::Strategy::kRcmpSplit)).completed);
   return s.final_output_checksum();
+}
+
+/// Every record of `file`, partition by partition.
+inline std::vector<mapred::Record> gather_records(
+    mapred::PayloadStore& payloads, dfs::NameNode& dfs, dfs::FileId file) {
+  std::vector<mapred::Record> all;
+  for (dfs::PartitionIndex p = 0; p < dfs.num_partitions(file); ++p) {
+    const auto recs = payloads.partition_records(file, p);
+    all.insert(all.end(), recs.begin(), recs.end());
+  }
+  return all;
+}
+
+/// The eager oracle: a fault-free replay of the paper's chain workload
+/// over `records`, using the same UDFs and per-job salts the engine
+/// hands out.
+inline mapred::Checksum oracle_checksum(std::vector<mapred::Record> records,
+                                        std::uint32_t chain_length) {
+  const workloads::ChainMapper mapper;
+  const workloads::ChainReducer reducer;
+  for (std::uint32_t j = 0; j < chain_length; ++j) {
+    mapred::JobSpec spec;
+    spec.logical_id = j;
+    const std::uint64_t salt = spec.udf_salt();
+
+    mapred::Emitter mapped;
+    for (const mapred::Record& rec : records) {
+      mapper.map(rec, salt, mapped);
+    }
+    // Global group-by-key: every key belongs to exactly one reducer
+    // partition, so the union over partitions is this exact grouping no
+    // matter how many reducers (or recomputation splits) the engine
+    // used. Value order inside a group is normalized by sorting; the
+    // chain reducer is value-wise, so this only pins iteration order.
+    std::map<std::uint64_t, std::vector<std::uint64_t>> groups;
+    for (const mapred::Record& r : mapped.records()) {
+      groups[r.key].push_back(r.value);
+    }
+    mapred::Emitter reduced;
+    for (auto& [key, values] : groups) {
+      std::sort(values.begin(), values.end());
+      reducer.reduce(key, values, salt, reduced);
+    }
+    records = std::move(reduced.records());
+  }
+  return mapred::checksum_of(records);
 }
 
 inline std::uint32_t sum_corrupt_blocks(const core::ChainResult& r) {

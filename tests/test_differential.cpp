@@ -1,21 +1,20 @@
 // Differential correctness harness.
 //
-// An eager, single-process oracle replays each chain fault-free: map
-// every input record with the job's udf salt, group globally by key
-// (partition_of assigns each key to exactly one reducer partition, so a
-// global group-by is split- and placement-agnostic), reduce, feed the
-// next job. Any simulated run that *survives* — fault-free or under a
-// seed-sampled chaos schedule, single- or multi-tenant, split or
-// optimistic recovery — must produce a final output whose
-// order-independent Checksum is byte-equal to the oracle's.
+// An eager, single-process oracle (testfx::oracle_checksum) replays
+// each chain fault-free: map every input record with the job's udf
+// salt, group globally by key (partition_of assigns each key to exactly
+// one reducer partition, so a global group-by is split- and
+// placement-agnostic), reduce, feed the next job. Any simulated run
+// that *survives* — fault-free or under a seed-sampled chaos schedule,
+// single- or multi-tenant, split or optimistic recovery — must produce
+// a final output whose order-independent Checksum is byte-equal to the
+// oracle's.
 //
 // Seed counts scale with RCMP_FUZZ_SEEDS (CI nightly/sanitizer jobs
 // export 200+); the local defaults keep the suite fast.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "fixtures.hpp"
@@ -26,55 +25,12 @@ namespace {
 
 using core::Strategy;
 using testfx::fail_at;
+using testfx::gather_records;
 using testfx::multi_config;
+using testfx::oracle_checksum;
 using testfx::strat;
 using workloads::MultiScenario;
 using workloads::Scenario;
-
-std::vector<mapred::Record> gather_records(mapred::PayloadStore& payloads,
-                                           dfs::NameNode& dfs,
-                                           dfs::FileId file) {
-  std::vector<mapred::Record> all;
-  for (dfs::PartitionIndex p = 0; p < dfs.num_partitions(file); ++p) {
-    const auto recs = payloads.partition_records(file, p);
-    all.insert(all.end(), recs.begin(), recs.end());
-  }
-  return all;
-}
-
-/// Fault-free eager replay of the paper's chain workload over `input`,
-/// using the same UDFs and per-job salts the engine hands out.
-mapred::Checksum oracle_checksum(std::vector<mapred::Record> records,
-                                 std::uint32_t chain_length) {
-  const workloads::ChainMapper mapper;
-  const workloads::ChainReducer reducer;
-  for (std::uint32_t j = 0; j < chain_length; ++j) {
-    mapred::JobSpec spec;
-    spec.logical_id = j;
-    const std::uint64_t salt = spec.udf_salt();
-
-    mapred::Emitter mapped;
-    for (const mapred::Record& rec : records) {
-      mapper.map(rec, salt, mapped);
-    }
-    // Global group-by-key: every key belongs to exactly one reducer
-    // partition, so the union over partitions is this exact grouping no
-    // matter how many reducers (or recomputation splits) the engine
-    // used. Value order inside a group is normalized by sorting; the
-    // chain reducer is value-wise, so this only pins iteration order.
-    std::map<std::uint64_t, std::vector<std::uint64_t>> groups;
-    for (const mapred::Record& r : mapped.records()) {
-      groups[r.key].push_back(r.value);
-    }
-    mapred::Emitter reduced;
-    for (auto& [key, values] : groups) {
-      std::sort(values.begin(), values.end());
-      reducer.reduce(key, values, salt, reduced);
-    }
-    records = std::move(reduced.records());
-  }
-  return mapred::checksum_of(records);
-}
 
 TEST(Differential, FaultFreeSingleTenantMatchesOracle) {
   const auto cfg = workloads::payload_config(5, 4, 128);

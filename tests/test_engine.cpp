@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
 
 #include "fixtures.hpp"
 #include "mapred/engine.hpp"
@@ -258,6 +259,40 @@ TEST(Engine, CancelDiscardsPartialState) {
   EXPECT_EQ(f.outputs.size(), 0u);  // partial map outputs dropped
   for (std::uint32_t p = 0; p < 4; ++p) {
     EXPECT_FALSE(f.dfs.partition_available(out, p));
+  }
+}
+
+TEST(Engine, DroppedOutputWithBufferedContributionIsUnregistered) {
+  // A registered map output is erased from the store while each
+  // reducer still buffers its contribution below the flush threshold.
+  // The next flush of that buffer must fail on the unregistered mapper
+  // rather than read the erased output (ASan builds flag such a read).
+  EngineFixture f;
+  // Threshold = one node's four contributions to a reducer: a lone
+  // completed mapper stays buffered.
+  f.cfg.shuffle_flush_fraction = 1.0;
+  f.runs.push_back(std::make_unique<JobRun>(
+      f.env(), f.make_spec(4), RecomputeDirective{}, f.cfg, 1, 7,
+      [](JobRun&) {}));
+  f.runs.back()->start();
+  SimTime t = 0.0;
+  while (f.outputs.size() == 0) {
+    ASSERT_LT(t, 100.0) << "no map output registered";
+    f.sim.run_until(t += 0.01);
+  }
+  // The first wave's outputs: block 0 of each node's input partition.
+  const MapOutputKey dropped{/*logical_job=*/0, /*input_partition=*/0,
+                             /*block_index=*/0};
+  ASSERT_TRUE(f.outputs.contains(dropped));
+  f.outputs.drop(dropped);
+  try {
+    f.sim.run();
+    FAIL() << "flushed a contribution of an erased map output";
+  } catch (const InvariantError& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "contribution from unregistered mapper"),
+              std::string::npos)
+        << e.what();
   }
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "common/md5.hpp"
@@ -153,12 +154,14 @@ TEST(PayloadStore, FileHasPayloadPerFile) {
 }
 
 struct StoreFixture {
-  StoreFixture() : net(sim), cluster(sim, net, make_spec()) {}
-  static cluster::ClusterSpec make_spec() {
+  explicit StoreFixture(Bytes ram_bytes = 0)
+      : net(sim), cluster(sim, net, make_spec(ram_bytes)) {}
+  static cluster::ClusterSpec make_spec(Bytes ram_bytes) {
     cluster::ClusterSpec s;
     s.nodes = 4;
     s.disk_bw = 1e8;
     s.nic_bw = 1e9;
+    s.ram_bytes = ram_bytes;
     return s;
   }
   sim::Simulation sim;
@@ -226,6 +229,95 @@ TEST(MapOutputStore, UsedSpaceSkipsLost) {
   f.store.on_node_failure(1);
   EXPECT_EQ(f.store.total_used(), 1000u);
   EXPECT_EQ(f.store.used_on_node(1), 0u);
+}
+
+// The engine keeps find() pointers for as long as erasures() holds
+// still, so every erase must move the count and nothing else may.
+TEST(MapOutputStore, ErasuresCountEveryEraseAndNothingElse) {
+  StoreFixture f(/*ram_bytes=*/1500);
+  f.store.attach_ram(&f.cluster, 1);
+  f.store.put({1, 0, 0}, make_output(0));  // new key
+  f.store.put({1, 0, 0}, make_output(1));  // replacement
+  f.store.put({1, 0, 1}, make_output(2));
+  f.store.mark_lost({1, 0, 1});
+  f.store.on_node_failure(1);
+  EXPECT_TRUE(f.store.find({1, 0, 0})->lost);
+  MapOutput mem = make_output(3);
+  mem.tier = cluster::StorageTier::kMemory;
+  f.store.put({2, 0, 0}, mem);
+  f.store.put({2, 0, 1}, mem);  // RAM full: spills {2, 0, 0} to disk
+  EXPECT_EQ(f.store.find({2, 0, 0})->tier, cluster::StorageTier::kDisk);
+  EXPECT_EQ(f.store.find({2, 0, 1})->tier, cluster::StorageTier::kMemory);
+  f.store.on_compute_failure(3);
+  EXPECT_TRUE(f.store.find({2, 0, 1})->lost);
+  EXPECT_EQ(f.store.erasures(), 0u);
+
+  f.store.drop({1, 0, 0});
+  EXPECT_EQ(f.store.erasures(), 1u);
+  f.store.drop({1, 0, 0});  // already gone: nothing erased
+  EXPECT_EQ(f.store.erasures(), 1u);
+  f.store.drop_job(2);  // two outputs
+  EXPECT_EQ(f.store.erasures(), 3u);
+  f.store.put({3, 0, 0}, make_output(0));
+  f.store.put({3, 0, 1}, make_output(0));
+  EXPECT_EQ(f.store.evict_upto(3, 1), 1000u);  // one output
+  EXPECT_EQ(f.store.erasures(), 4u);
+}
+
+TEST(MapOutputStore, FindPointerSurvivesRehashAndReplacement) {
+  StoreFixture f;
+  const MapOutputKey key{1, 0, 0};
+  f.store.put(key, make_output(0));
+  const MapOutput* held = f.store.find(key);
+  // Thousands of other keys grow the table through several rehashes.
+  for (std::uint32_t i = 1; i <= 4096; ++i) {
+    f.store.put({1, 1, i}, make_output(i % 4));
+  }
+  EXPECT_EQ(f.store.find(key), held);
+  EXPECT_EQ(held->node, 0u);
+  f.store.put(key, make_output(2));  // replaced in place
+  EXPECT_EQ(f.store.find(key), held);
+  EXPECT_EQ(held->node, 2u);
+  EXPECT_EQ(f.store.erasures(), 0u);
+}
+
+TEST(MapOutputStore, HeldOutputBucketStateMatchesKeyedCheck) {
+  // Payload buckets: 0 intact, 1 corrupt (its captured sum is of other
+  // bytes), 2 and 9 without a captured sum.
+  MapOutputStore store;
+  MapOutput out;
+  out.node = 0;
+  out.total_bytes = 96.0;
+  out.buckets = {{Record{1, 2}}, {Record{3, 4}}, {Record{5, 6}}};
+  Checksum sum0, wrong1;
+  sum0.add(Record{1, 2});
+  wrong1.add(Record{3, 5});
+  out.bucket_sums = {sum0, wrong1};
+  const MapOutputKey key{1, 0, 0};
+  store.put(key, std::move(out));
+  const MapOutput& held = *store.find(key);
+  const std::pair<std::uint32_t, BucketState> cases[] = {
+      {0, BucketState::kIntact},
+      {1, BucketState::kCorrupt},
+      {2, BucketState::kMissingSum},
+      {9, BucketState::kMissingSum}};
+  for (const auto& [partition, want] : cases) {
+    EXPECT_EQ(store.bucket_state(key, partition), want) << partition;
+    EXPECT_EQ(MapOutputStore::bucket_state(held, partition), want)
+        << partition;
+  }
+  // Virtual-size mode: the corruption marker is the whole story.
+  const MapOutputKey virt_key{1, 0, 1};
+  MapOutput virt = make_output(1);
+  store.put(virt_key, virt);
+  EXPECT_EQ(store.bucket_state(virt_key, 0), BucketState::kIntact);
+  EXPECT_EQ(MapOutputStore::bucket_state(*store.find(virt_key), 0),
+            BucketState::kIntact);
+  virt.corrupt = true;
+  store.put(virt_key, virt);
+  EXPECT_EQ(store.bucket_state(virt_key, 0), BucketState::kCorrupt);
+  EXPECT_EQ(MapOutputStore::bucket_state(*store.find(virt_key), 0),
+            BucketState::kCorrupt);
 }
 
 TEST(MapOutputKey, PackedIsInjectiveOnSmallCoords) {

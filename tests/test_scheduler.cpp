@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <array>
 #include <string>
+#include <vector>
 
 #include "fixtures.hpp"
 #include "mapred/map_output_store.hpp"
@@ -240,6 +241,47 @@ TEST(EvictionPinning, PinnedJobIsNeverEvicted) {
   EXPECT_EQ(store.evict_upto(1, 1 << 20), 1000u);  // unpinned job evicts
   store.set_pinned_jobs({});
   EXPECT_GT(store.evict_upto(0, 1 << 20), 0u);  // unpin re-enables
+}
+
+TEST(EvictionPinning, LiveJobIsPinnedAgainstCrossChainEviction) {
+  // Regression: the live job was never pinned — the pin set was
+  // refreshed before the job started, while running() was still false —
+  // so another chain's job boundary could evict map outputs the live
+  // job's reducers were still shuffling. Every run below threw
+  // "contribution from unregistered mapper".
+  for (const std::uint32_t chains : {2u, 3u, 4u}) {
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+      SCOPED_TRACE("chains " + std::to_string(chains) + " seed " +
+                   std::to_string(seed));
+      auto cfg = multi_config(chains, /*nodes=*/6, /*chain_length=*/4,
+                              /*records_per_node=*/128);
+      cfg.base.seed = seed;
+      std::vector<mapred::Checksum> oracle;
+      Bytes peak = 0;
+      {
+        MultiScenario free_run(cfg);
+        for (std::uint32_t c = 0; c < chains; ++c) {
+          oracle.push_back(testfx::oracle_checksum(
+              testfx::gather_records(free_run.payloads(), free_run.dfs(),
+                                     free_run.input_file(c)),
+              cfg.base.chain_length));
+        }
+        for (const auto& res : free_run.run(strat(Strategy::kRcmpSplit))) {
+          ASSERT_TRUE(res.completed);
+          peak = std::max(peak, res.peak_storage);
+        }
+      }
+      cfg.shared_storage_budget = peak / 2;
+      MultiScenario ms(cfg);
+      std::vector<core::ChainResult> r;
+      ASSERT_NO_THROW(r = ms.run(strat(Strategy::kRcmpSplit)));
+      EXPECT_GT(ms.scheduler().evicted_bytes(), 0u);
+      for (std::uint32_t c = 0; c < chains; ++c) {
+        ASSERT_TRUE(r[c].completed) << "chain " << c;
+        EXPECT_EQ(ms.final_output_checksum(c), oracle[c]) << "chain " << c;
+      }
+    }
+  }
 }
 
 TEST(EvictionPinning, AuditorTripsOnPinnedVictimChoice) {
