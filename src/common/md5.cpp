@@ -8,63 +8,53 @@ constexpr std::uint32_t kInitB = 0xefcdab89u;
 constexpr std::uint32_t kInitC = 0x98badcfeu;
 constexpr std::uint32_t kInitD = 0x10325476u;
 
-constexpr std::uint32_t rotl32(std::uint32_t x, int c) {
-  return (x << c) | (x >> (32 - c));
-}
+// Eight 32-bit lanes, one message per lane. Without AVX, GCC lowers
+// the 32-byte vector to pairs of SSE2 registers: two independent
+// dependency chains per step where the scalar form has one.
+using Lanes = std::uint32_t __attribute__((vector_size(32)));
+static_assert(sizeof(Lanes) == Md5::kLanes * sizeof(std::uint32_t));
 
-// The four RFC 1321 step functions. Each step is
+// The four RFC 1321 step functions, over one word (W = std::uint32_t)
+// or one word per lane (W = Lanes). Each step is
 //   a = b + ((a + round_fn(b, c, d) + m[g] + K) <<< s)
-// with K = floor(2^32 * abs(sin(i + 1))) for step i.
-inline void ff(std::uint32_t& a, std::uint32_t b, std::uint32_t c,
-               std::uint32_t d, std::uint32_t x, int s, std::uint32_t k) {
-  a = b + rotl32(a + ((b & c) | (~b & d)) + x + k, s);
+// with K = floor(2^32 * abs(sin(i + 1))) for step i. Words pass by
+// reference and the rotate is written in place: passing or returning
+// a 32-byte vector by value has an AVX-dependent ABI (GCC -Wpsabi).
+template <typename W>
+inline void rotate_add(W& a, const W& b, const W& t, int s) {
+  a = b + ((t << s) | (t >> (32 - s)));
 }
-inline void gg(std::uint32_t& a, std::uint32_t b, std::uint32_t c,
-               std::uint32_t d, std::uint32_t x, int s, std::uint32_t k) {
-  a = b + rotl32(a + ((b & d) | (c & ~d)) + x + k, s);
+template <typename W>
+inline void ff(W& a, const W& b, const W& c, const W& d, const W& x, int s,
+               std::uint32_t k) {
+  rotate_add(a, b, a + ((b & c) | (~b & d)) + x + k, s);
 }
-inline void hh(std::uint32_t& a, std::uint32_t b, std::uint32_t c,
-               std::uint32_t d, std::uint32_t x, int s, std::uint32_t k) {
-  a = b + rotl32(a + (b ^ c ^ d) + x + k, s);
+template <typename W>
+inline void gg(W& a, const W& b, const W& c, const W& d, const W& x, int s,
+               std::uint32_t k) {
+  rotate_add(a, b, a + ((b & d) | (c & ~d)) + x + k, s);
 }
-inline void ii(std::uint32_t& a, std::uint32_t b, std::uint32_t c,
-               std::uint32_t d, std::uint32_t x, int s, std::uint32_t k) {
-  a = b + rotl32(a + (c ^ (b | ~d)) + x + k, s);
+template <typename W>
+inline void hh(W& a, const W& b, const W& c, const W& d, const W& x, int s,
+               std::uint32_t k) {
+  rotate_add(a, b, a + (b ^ c ^ d) + x + k, s);
 }
-
-std::uint32_t load_le32(const std::uint8_t* p) {
-  return static_cast<std::uint32_t>(p[0]) |
-         (static_cast<std::uint32_t>(p[1]) << 8) |
-         (static_cast<std::uint32_t>(p[2]) << 16) |
-         (static_cast<std::uint32_t>(p[3]) << 24);
-}
-
-void store_le32(std::uint8_t* p, std::uint32_t v) {
-  p[0] = static_cast<std::uint8_t>(v);
-  p[1] = static_cast<std::uint8_t>(v >> 8);
-  p[2] = static_cast<std::uint8_t>(v >> 16);
-  p[3] = static_cast<std::uint8_t>(v >> 24);
+template <typename W>
+inline void ii(W& a, const W& b, const W& c, const W& d, const W& x, int s,
+               std::uint32_t k) {
+  rotate_add(a, b, a + (c ^ (b | ~d)) + x + k, s);
 }
 
-}  // namespace
-
-void Md5::reset() {
-  a_ = kInitA;
-  b_ = kInitB;
-  c_ = kInitC;
-  d_ = kInitD;
-  total_len_ = 0;
-  buffer_len_ = 0;
-}
-
-void Md5::process_block(const std::uint8_t* block) {
-  std::uint32_t m[16];
-  for (int i = 0; i < 16; ++i) m[i] = load_le32(block + 4 * i);
-
-  // The RFC 1321 reference form, fully unrolled: literal shift and sine
-  // constants per step and the message-word schedule written out, so no
-  // step branches on its round or computes an index.
-  std::uint32_t a = a_, b = b_, c = c_, d = d_;
+// The one MD5 step list: the 64 steps over message words m, added into
+// the state. Unrolled in the RFC 1321 reference form — literal shift and
+// sine constants per step and the message-word schedule written out, so
+// no step branches on its round or computes an index. Inlined into each
+// caller so the lane state stays in registers and the constant padding
+// words fold into the step constants.
+template <typename W>
+[[gnu::always_inline]] inline void compress(W (&state)[4],
+                                            const W (&m)[16]) {
+  W a = state[0], b = state[1], c = state[2], d = state[3];
   // Round 1.
   ff(a, b, c, d, m[0], 7, 0xd76aa478);
   ff(d, a, b, c, m[1], 12, 0xe8c7b756);
@@ -133,10 +123,41 @@ void Md5::process_block(const std::uint8_t* block) {
   ii(d, a, b, c, m[11], 10, 0xbd3af235);
   ii(c, d, a, b, m[2], 15, 0x2ad7d2bb);
   ii(b, c, d, a, m[9], 21, 0xeb86d391);
-  a_ += a;
-  b_ += b;
-  c_ += c;
-  d_ += d;
+  state[0] += a;
+  state[1] += b;
+  state[2] += c;
+  state[3] += d;
+}
+
+std::uint32_t load_le32(const std::uint8_t* p) {
+  return static_cast<std::uint32_t>(p[0]) |
+         (static_cast<std::uint32_t>(p[1]) << 8) |
+         (static_cast<std::uint32_t>(p[2]) << 16) |
+         (static_cast<std::uint32_t>(p[3]) << 24);
+}
+
+void store_le32(std::uint8_t* p, std::uint32_t v) {
+  p[0] = static_cast<std::uint8_t>(v);
+  p[1] = static_cast<std::uint8_t>(v >> 8);
+  p[2] = static_cast<std::uint8_t>(v >> 16);
+  p[3] = static_cast<std::uint8_t>(v >> 24);
+}
+
+}  // namespace
+
+void Md5::reset() {
+  state_[0] = kInitA;
+  state_[1] = kInitB;
+  state_[2] = kInitC;
+  state_[3] = kInitD;
+  total_len_ = 0;
+  buffer_len_ = 0;
+}
+
+void Md5::process_block(const std::uint8_t* block) {
+  std::uint32_t m[16];
+  for (int i = 0; i < 16; ++i) m[i] = load_le32(block + 4 * i);
+  compress(state_, m);
 }
 
 void Md5::update(const void* data, std::size_t len) {
@@ -184,10 +205,7 @@ Md5::Digest Md5::finalize() {
   buffer_len_ = 0;
 
   Digest out;
-  store_le32(out.data() + 0, a_);
-  store_le32(out.data() + 4, b_);
-  store_le32(out.data() + 8, c_);
-  store_le32(out.data() + 12, d_);
+  for (int i = 0; i < 4; ++i) store_le32(out.data() + 4 * i, state_[i]);
   return out;
 }
 
@@ -196,6 +214,25 @@ std::uint64_t Md5::hash64(const void* data, std::size_t len) {
   std::uint64_t v = 0;
   for (int i = 7; i >= 0; --i) v = (v << 8) | d[static_cast<std::size_t>(i)];
   return v;
+}
+
+void Md5::hash64_lanes(const std::uint32_t (&words)[16][kLanes],
+                       std::uint64_t (&out)[kLanes]) {
+  Lanes m[16];
+  static_assert(sizeof(m) == sizeof(words));
+  std::memcpy(m, words, sizeof(m));
+  Lanes state[4] = {Lanes{} + kInitA, Lanes{} + kInitB, Lanes{} + kInitC,
+                    Lanes{} + kInitD};
+  compress(state, m);
+  // The padding block every 64-byte message ends with: 0x80, zeros,
+  // then the 512-bit message length.
+  Lanes pad[16] = {};
+  pad[0] += 0x80u;
+  pad[14] += 512u;
+  compress(state, pad);
+  // hash64: digest bytes 0..7, i.e. state words a and b, little-endian.
+  for (std::size_t l = 0; l < kLanes; ++l)
+    out[l] = state[0][l] | (static_cast<std::uint64_t>(state[1][l]) << 32);
 }
 
 std::string Md5::to_hex(const Digest& d) {

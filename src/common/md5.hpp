@@ -43,12 +43,21 @@ class Md5 {
     return hash64(s.data(), s.size());
   }
 
+  /// Messages per hash64_lanes call.
+  static constexpr std::size_t kLanes = 8;
+  /// hash64 of kLanes 64-byte messages in one pass: words[i][l] is the
+  /// little-endian 32-bit word i (bytes 4i..4i+3) of lane l's message,
+  /// and out[l] == hash64(message l, 64). The lanes share every step, so
+  /// one pass costs about as much as two scalar 64-byte hashes.
+  static void hash64_lanes(const std::uint32_t (&words)[16][kLanes],
+                           std::uint64_t (&out)[kLanes]);
+
   static std::string to_hex(const Digest& d);
 
  private:
   void process_block(const std::uint8_t* block);
 
-  std::uint32_t a_, b_, c_, d_;
+  std::uint32_t state_[4];
   std::uint64_t total_len_ = 0;
   std::uint8_t buffer_[64];
   std::size_t buffer_len_ = 0;

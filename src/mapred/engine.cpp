@@ -550,15 +550,13 @@ void JobRun::run_map_udf(std::uint32_t m, MapOutput& out) const {
   const MapTask& t = maps_[m];
   out.buckets.assign(spec_.num_reducers, {});
   Emitter em;
-  for (const Record& rec : env_.payloads.block_records(
-           t.input_file, t.input_partition, t.block_index)) {
-    em.records().clear();
-    spec_.mapper->map(rec, spec_.udf_salt(), em);
-    for (const Record& o : em.records()) {
-      const std::uint32_t p =
-          partition_of(o.key, spec_.num_reducers, spec_.partition_salt());
-      out.buckets[p].push_back(o);
-    }
+  spec_.mapper->map_all(env_.payloads.block_records(
+                            t.input_file, t.input_partition, t.block_index),
+                        spec_.udf_salt(), em);
+  for (const Record& o : em.records()) {
+    const std::uint32_t p =
+        partition_of(o.key, spec_.num_reducers, spec_.partition_salt());
+    out.buckets[p].push_back(o);
   }
 }
 
@@ -1225,24 +1223,11 @@ void JobRun::reduce_compute_done(std::uint32_t r, std::uint32_t epoch) {
 void JobRun::finish_reduce_compute(std::uint32_t r) {
   ReduceTask& rt = reduces_[r];
   if (payload_mode_) {
-    // Sort-merge: group values by key, one reduce call per key. Each
-    // split owns whole keys, so grouping within the split is complete.
-    std::sort(rt.gathered.begin(), rt.gathered.end(),
-              [](const Record& a, const Record& b) {
-                return a.key < b.key || (a.key == b.key && a.value < b.value);
-              });
+    // Sort-merge: one reduce call per key. Each split owns whole keys,
+    // so grouping within the split is complete.
+    std::sort(rt.gathered.begin(), rt.gathered.end());
     Emitter em;
-    std::vector<std::uint64_t> values;
-    std::size_t i = 0;
-    while (i < rt.gathered.size()) {
-      const std::uint64_t key = rt.gathered[i].key;
-      values.clear();
-      while (i < rt.gathered.size() && rt.gathered[i].key == key) {
-        values.push_back(rt.gathered[i].value);
-        ++i;
-      }
-      spec_.reducer->reduce(key, values, spec_.udf_salt(), em);
-    }
+    spec_.reducer->reduce_all(rt.gathered, spec_.udf_salt(), em);
     rt.out_records = std::move(em.records());
     rt.gathered.clear();
     rt.gathered.shrink_to_fit();

@@ -94,9 +94,7 @@ void MapOutputStore::put(const MapOutputKey& key, MapOutput output) {
   if (!output.buckets.empty() && output.bucket_sums.empty()) {
     output.bucket_sums.reserve(output.buckets.size());
     for (const auto& bucket : output.buckets) {
-      Checksum sum;
-      for (const Record& r : bucket) sum.add(r);
-      output.bucket_sums.push_back(sum);
+      output.bucket_sums.push_back(checksum_of(bucket));
     }
   }
   auto [it, inserted] = outputs_.try_emplace(key);
@@ -184,10 +182,9 @@ BucketState MapOutputStore::bucket_state(const MapOutput& out,
       partition >= out.bucket_sums.size()) {
     return BucketState::kMissingSum;
   }
-  Checksum sum;
-  for (const Record& r : out.buckets[partition]) sum.add(r);
-  return sum == out.bucket_sums[partition] ? BucketState::kIntact
-                                           : BucketState::kCorrupt;
+  return checksum_of(out.buckets[partition]) == out.bucket_sums[partition]
+             ? BucketState::kIntact
+             : BucketState::kCorrupt;
 }
 
 bool MapOutputStore::corrupt_one(Rng& rng) {

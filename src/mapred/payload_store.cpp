@@ -34,10 +34,8 @@ void PayloadStore::append(dfs::FileId f, dfs::PartitionIndex p,
   for (std::uint32_t b = 0; b < block_count; ++b) {
     pp.block_starts.push_back(base + offset);
     const std::size_t share = n / block_count + (b < n % block_count ? 1 : 0);
-    Checksum sum;
-    for (std::size_t i = 0; i < share; ++i)
-      sum.add(pp.records[base + offset + i]);
-    pp.block_sums.push_back(sum);
+    pp.block_sums.push_back(checksum_of(
+        std::span<const Record>(pp.records).subspan(base + offset, share)));
     offset += share;
   }
   RCMP_CHECK(offset == n);
@@ -83,11 +81,10 @@ bool PayloadStore::verify_block(dfs::FileId f, dfs::PartitionIndex p,
   if (it == parts_.end()) return true;  // nothing stored, nothing corrupt
   const PartitionPayload& pp = it->second;
   if (block_index >= pp.block_sums.size()) return true;
-  Checksum sum;
   const std::size_t lo = pp.block_starts[block_index];
   const std::size_t hi = pp.block_starts[block_index + 1];
-  for (std::size_t i = lo; i < hi; ++i) sum.add(pp.records[i]);
-  return sum == pp.block_sums[block_index];
+  return checksum_of(std::span<const Record>(pp.records).subspan(
+             lo, hi - lo)) == pp.block_sums[block_index];
 }
 
 bool PayloadStore::corrupt_record(dfs::FileId f, dfs::PartitionIndex p) {
@@ -105,8 +102,7 @@ Checksum PayloadStore::file_checksum(dfs::FileId f,
   Checksum c;
   for (dfs::PartitionIndex p = 0; p < num_partitions; ++p) {
     auto it = parts_.find(key(f, p));
-    if (it == parts_.end()) continue;
-    for (const Record& r : it->second.records) c.add(r);
+    if (it != parts_.end()) c.add(it->second.records);
   }
   return c;
 }

@@ -14,6 +14,7 @@
 // to record count rather than data volume.
 #pragma once
 
+#include <compare>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -28,11 +29,13 @@ struct Record {
   std::uint64_t key = 0;
   std::uint64_t value = 0;
 
-  bool operator==(const Record&) const = default;
+  /// (key, value) order: the sort-merge order reducers consume.
+  auto operator<=>(const Record&) const = default;
 };
 
 /// Expand a record's value into its synthetic payload bytes. Every
-/// consumer (MD5 check, byte-sum check) sees the same expansion.
+/// consumer (MD5 check, byte-sum check) sees the same expansion: eight
+/// splitmix64 words, each written little-endian.
 inline void expand_payload(std::uint64_t value, std::uint8_t out[64]) {
   std::uint64_t s = value;
   for (int i = 0; i < 8; ++i) {
@@ -48,7 +51,10 @@ struct RecordChecks {
   std::uint64_t byte_sum = 0;  // sum of all payload bytes
 };
 
-/// Both checks over one expansion of the record's payload.
+/// Both checks over one expansion of the record's payload. This is the
+/// scalar reference form: the per-record UDF methods and the eager
+/// oracles use it, so every differential test compares the batch form
+/// below against it.
 inline RecordChecks record_checks(const Record& r) {
   std::uint8_t payload[64];
   expand_payload(r.value, payload);
@@ -56,6 +62,11 @@ inline RecordChecks record_checks(const Record& r) {
   for (std::uint8_t b : payload) sum += b;
   return {Md5::hash64(payload, sizeof(payload)), sum};
 }
+
+/// The same checks for every record of `records`, written to
+/// out[0..records.size()), Md5::kLanes records per MD5 pass. Equal to
+/// record_checks(records[i]) for every i.
+void record_checks(std::span<const Record> records, RecordChecks* out);
 
 /// Order-independent aggregate over a record multiset. Two datasets have
 /// equal Checksum iff (with overwhelming probability) they hold the same
@@ -75,6 +86,8 @@ struct Checksum {
     key_acc += mix64(r.key);
     ++count;
   }
+  /// add() of every record, through the batch checks.
+  void add(std::span<const Record> records);
   void merge(const Checksum& o) {
     md5_acc += o.md5_acc;
     sum_acc += o.sum_acc;
@@ -109,6 +122,10 @@ class MapUdf {
   virtual ~MapUdf() = default;
   virtual void map(const Record& in, std::uint64_t job_salt,
                    Emitter& out) const = 0;
+  /// map() of every input record in order — the engine maps a whole
+  /// block per call. Overrides must emit exactly what the loop does.
+  virtual void map_all(std::span<const Record> in, std::uint64_t job_salt,
+                       Emitter& out) const;
 };
 
 /// Reduce UDF: one key with all its values (the engine guarantees all
@@ -120,6 +137,11 @@ class ReduceUdf {
   virtual void reduce(std::uint64_t key,
                       std::span<const std::uint64_t> values,
                       std::uint64_t job_salt, Emitter& out) const = 0;
+  /// Sort-merge over records sorted by (key, value): one reduce() call
+  /// per run of equal keys, in order. Overrides must emit exactly what
+  /// those calls do.
+  virtual void reduce_all(std::span<const Record> sorted,
+                          std::uint64_t job_salt, Emitter& out) const;
 };
 
 }  // namespace rcmp::mapred

@@ -1,7 +1,6 @@
 #include "obs/audit.hpp"
 
 #include <algorithm>
-#include <map>
 #include <sstream>
 
 #include "mapred/record.hpp"
@@ -239,18 +238,11 @@ void Auditor::check_cache_hit(const CacheHitCheck& chc) {
   }
   for (std::size_t j = 0; j < chc.mappers.size(); ++j) {
     mapred::Emitter mapped;
-    for (const mapred::Record& r : records) {
-      chc.mappers[j]->map(r, chc.udf_salts[j], mapped);
-    }
-    std::map<std::uint64_t, std::vector<std::uint64_t>> groups;
-    for (const mapred::Record& r : mapped.records()) {
-      groups[r.key].push_back(r.value);
-    }
+    chc.mappers[j]->map_all(records, chc.udf_salts[j], mapped);
+    // (key, value) order puts each key's values in one sorted run.
+    std::sort(mapped.records().begin(), mapped.records().end());
     mapred::Emitter reduced;
-    for (auto& [key, values] : groups) {
-      std::sort(values.begin(), values.end());
-      chc.reducers[j]->reduce(key, values, chc.udf_salts[j], reduced);
-    }
+    chc.reducers[j]->reduce_all(mapped.records(), chc.udf_salts[j], reduced);
     records = std::move(reduced.records());
   }
   const mapred::Checksum expected = mapred::checksum_of(records);

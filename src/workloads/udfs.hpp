@@ -14,6 +14,9 @@
 // a recomputed task emits byte-identical records.
 #pragma once
 
+#include <span>
+#include <vector>
+
 #include "common/hash.hpp"
 #include "mapred/record.hpp"
 
@@ -25,12 +28,28 @@ namespace rcmp::workloads {
 /// UDF", which disables caching for the job.
 inline constexpr std::uint64_t kChainUdfId = 0xC0DE'0001ULL;
 
+// map() and reduce() check one record at a time through the scalar
+// record_checks and stay that way: the eager oracles replay them, which
+// makes every differential run a check of the batch forms below.
 class ChainMapper final : public mapred::MapUdf {
  public:
   void map(const mapred::Record& in, std::uint64_t job_salt,
            mapred::Emitter& out) const override {
     // The two per-record correctness computations from the paper.
-    const mapred::RecordChecks checks = mapred::record_checks(in);
+    emit(in, mapred::record_checks(in), job_salt, out);
+  }
+  void map_all(std::span<const mapred::Record> in, std::uint64_t job_salt,
+               mapred::Emitter& out) const override {
+    std::vector<mapred::RecordChecks> checks(in.size());
+    mapred::record_checks(in, checks.data());
+    for (std::size_t i = 0; i < in.size(); ++i)
+      emit(in[i], checks[i], job_salt, out);
+  }
+
+ private:
+  static void emit(const mapred::Record& in,
+                   const mapred::RecordChecks& checks, std::uint64_t job_salt,
+                   mapred::Emitter& out) {
     // Deterministic key randomization (per record, per job).
     const std::uint64_t new_key =
         hash_combine(job_salt, hash_combine(in.key, in.value));
@@ -44,10 +63,24 @@ class ChainReducer final : public mapred::ReduceUdf {
   void reduce(std::uint64_t key, std::span<const std::uint64_t> values,
               std::uint64_t job_salt, mapred::Emitter& out) const override {
     for (std::uint64_t v : values) {
-      const mapred::RecordChecks checks =
-          mapred::record_checks(mapred::Record{key, v});
-      out.emit(key, hash_combine(job_salt ^ checks.md5, checks.byte_sum));
+      emit(key, mapred::record_checks(mapred::Record{key, v}), job_salt, out);
     }
+  }
+  /// Each record is reduced on its own, so the key runs need no
+  /// grouping: emitting in sorted order is the per-key calls' order.
+  void reduce_all(std::span<const mapred::Record> sorted,
+                  std::uint64_t job_salt,
+                  mapred::Emitter& out) const override {
+    std::vector<mapred::RecordChecks> checks(sorted.size());
+    mapred::record_checks(sorted, checks.data());
+    for (std::size_t i = 0; i < sorted.size(); ++i)
+      emit(sorted[i].key, checks[i], job_salt, out);
+  }
+
+ private:
+  static void emit(std::uint64_t key, const mapred::RecordChecks& checks,
+                   std::uint64_t job_salt, mapred::Emitter& out) {
+    out.emit(key, hash_combine(job_salt ^ checks.md5, checks.byte_sum));
   }
 };
 

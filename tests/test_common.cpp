@@ -209,6 +209,42 @@ TEST(Md5, PaddingEdgeDigests) {
   }
 }
 
+// Every lane of the eight-message entry equals the one-message hash64:
+// all-zero and all-0xff messages in every lane, the two alternating
+// across lanes, then seeded random messages.
+TEST(Md5, LanesEqualOneMessageHash64) {
+  Rng rng(0x1A4E5ULL);
+  for (int round = 0; round < 64; ++round) {
+    std::uint8_t msgs[Md5::kLanes][64];
+    for (std::size_t l = 0; l < Md5::kLanes; ++l) {
+      for (std::uint8_t& b : msgs[l]) {
+        switch (round) {
+          case 0: b = 0x00; break;
+          case 1: b = 0xff; break;
+          case 2: b = l % 2 == 0 ? 0x00 : 0xff; break;
+          default: b = static_cast<std::uint8_t>(rng());
+        }
+      }
+    }
+    std::uint32_t words[16][Md5::kLanes];
+    for (std::size_t l = 0; l < Md5::kLanes; ++l) {
+      for (std::size_t i = 0; i < 16; ++i) {
+        const std::uint8_t* p = msgs[l] + 4 * i;
+        words[i][l] = static_cast<std::uint32_t>(p[0]) |
+                      (static_cast<std::uint32_t>(p[1]) << 8) |
+                      (static_cast<std::uint32_t>(p[2]) << 16) |
+                      (static_cast<std::uint32_t>(p[3]) << 24);
+      }
+    }
+    std::uint64_t out[Md5::kLanes];
+    Md5::hash64_lanes(words, out);
+    for (std::size_t l = 0; l < Md5::kLanes; ++l) {
+      ASSERT_EQ(out[l], Md5::hash64(msgs[l], 64))
+          << "round " << round << " lane " << l;
+    }
+  }
+}
+
 TEST(Md5, Hash64IsLittleEndianDigestPrefix) {
   auto prefix64 = [](const Md5::Digest& d) {
     std::uint64_t v = 0;

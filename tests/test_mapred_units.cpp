@@ -43,7 +43,8 @@ std::vector<Record> seeded_records(std::uint64_t seed, std::size_t n) {
 }
 
 TEST(Record, FusedChecksEqualSeparateComputations) {
-  for (const Record& r : seeded_records(0xF05EDULL, 2000)) {
+  const std::vector<Record> recs = seeded_records(0xF05EDULL, 2000);
+  for (const Record& r : recs) {
     std::uint8_t payload[64];
     expand_payload(r.value, payload);
     std::uint64_t sum = 0;
@@ -51,6 +52,26 @@ TEST(Record, FusedChecksEqualSeparateComputations) {
     const RecordChecks c = record_checks(r);
     ASSERT_EQ(c.md5, Md5::hash64(payload, sizeof(payload))) << r.value;
     ASSERT_EQ(c.byte_sum, sum) << r.value;
+  }
+  // The batch form, Md5::kLanes records per pass, equals the scalar one
+  // for every record of every span length up to two full passes plus a
+  // one-lane tail, around a 64-record boundary and over the whole set;
+  // so does the batch Checksum::add against per-record add().
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 0; n <= 17; ++n) lengths.push_back(n);
+  lengths.insert(lengths.end(), {63, 64, 65, recs.size()});
+  for (std::size_t n : lengths) {
+    const std::span<const Record> span(recs.data(), n);
+    std::vector<RecordChecks> batch(n);
+    record_checks(span, batch.data());
+    Checksum one_by_one;
+    for (std::size_t i = 0; i < n; ++i) {
+      const RecordChecks c = record_checks(span[i]);
+      ASSERT_EQ(batch[i].md5, c.md5) << "n=" << n << " i=" << i;
+      ASSERT_EQ(batch[i].byte_sum, c.byte_sum) << "n=" << n << " i=" << i;
+      one_by_one.add(span[i]);
+    }
+    ASSERT_EQ(checksum_of(span), one_by_one) << "n=" << n;
   }
 }
 
@@ -151,6 +172,26 @@ TEST(PayloadStore, FileHasPayloadPerFile) {
   store.append(5, 0, {{1, 1}}, 1);
   EXPECT_TRUE(store.file_has_payload(5));
   EXPECT_FALSE(store.file_has_payload(6));
+}
+
+// A 17-record block is two full lane passes plus a one-lane tail.
+// corrupt_record applies the chaos engine's flip to the partition's
+// middle record: with a 17-record block before the block under test and
+// 2i records after it, that is the tested block's record i.
+TEST(PayloadStore, VerifyBlockCatchesAFlipInEveryLane) {
+  const std::vector<Record> recs = seeded_records(0xB10CULL, 17);
+  for (std::size_t i = 0; i < recs.size(); ++i) {
+    PayloadStore store;
+    store.append(0, 0, recs, 1);
+    store.append(0, 0, recs, 1);
+    if (i > 0) store.append(0, 0, std::vector<Record>(2 * i, {1, 2}), 1);
+    ASSERT_TRUE(store.verify_block(0, 0, 1));
+    ASSERT_TRUE(store.corrupt_record(0, 0));
+    ASSERT_EQ(store.block_records(0, 0, 1)[i].value,
+              recs[i].value ^ 0xdeadbeefULL);
+    EXPECT_FALSE(store.verify_block(0, 0, 1)) << "record " << i;
+    EXPECT_TRUE(store.verify_block(0, 0, 0)) << "record " << i;
+  }
 }
 
 struct StoreFixture {
@@ -320,6 +361,29 @@ TEST(MapOutputStore, HeldOutputBucketStateMatchesKeyedCheck) {
             BucketState::kCorrupt);
 }
 
+// The bucket sums put() captured over a 17-record bucket (two full lane
+// passes plus a one-lane tail) catch the chaos engine's flip of any one
+// record. Re-putting the flipped output keeps the captured sums.
+TEST(MapOutputStore, BucketStateCatchesAFlipInEveryLane) {
+  const std::vector<Record> recs = seeded_records(0xB0C4E7ULL, 17);
+  MapOutputStore store;
+  const MapOutputKey key{1, 0, 0};
+  MapOutput out;
+  out.node = 0;
+  out.total_bytes = 17.0 * 32;
+  out.buckets = {recs};
+  store.put(key, out);
+  ASSERT_EQ(store.bucket_state(key, 0), BucketState::kIntact);
+  const MapOutput captured = *store.find(key);
+  for (std::size_t i = 0; i < recs.size(); ++i) {
+    MapOutput flipped = captured;
+    flipped.buckets[0][i].value ^= 0xdeadbeefULL;
+    store.put(key, std::move(flipped));
+    EXPECT_EQ(store.bucket_state(key, 0), BucketState::kCorrupt)
+        << "record " << i;
+  }
+}
+
 TEST(MapOutputKey, PackedIsInjectiveOnSmallCoords) {
   std::set<std::uint64_t> seen;
   for (std::uint32_t j = 0; j < 8; ++j)
@@ -365,6 +429,86 @@ TEST(ChainUdfs, ReducerPreservesRecordCount) {
   reducer.reduce(7, values, 42, em);
   EXPECT_EQ(em.records().size(), 3u);
   for (const auto& r : em.records()) EXPECT_EQ(r.key, 7u);
+}
+
+TEST(ChainUdfs, MapAllEqualsLoopOfMap) {
+  const workloads::ChainMapper mapper;
+  const std::vector<Record> recs = seeded_records(0x3A9ULL, 37);
+  for (std::size_t n : {0u, 1u, 7u, 8u, 9u, 17u, 37u}) {
+    const std::span<const Record> in(recs.data(), n);
+    Emitter loop, batch;
+    for (const Record& r : in) mapper.map(r, 42, loop);
+    mapper.map_all(in, 42, batch);
+    EXPECT_EQ(batch.records(), loop.records()) << "n=" << n;
+  }
+}
+
+/// Records sorted by (key, value) in groups of `sizes` values per key.
+std::vector<Record> sorted_groups(std::initializer_list<std::size_t> sizes) {
+  Rng rng(0x6E0ULL);
+  std::vector<Record> recs;
+  std::uint64_t key = 0;
+  for (std::size_t size : sizes) {
+    key += 1 + rng.below(1000);
+    for (std::size_t v = 0; v < size; ++v) recs.push_back({key, rng()});
+  }
+  std::sort(recs.begin(), recs.end());
+  return recs;
+}
+
+/// One reduce() call per run of equal keys — the reference grouping.
+void reduce_per_group(const ReduceUdf& reducer, std::span<const Record> sorted,
+                      std::uint64_t salt, Emitter& out) {
+  for (std::size_t i = 0; i < sorted.size();) {
+    std::vector<std::uint64_t> values;
+    const std::uint64_t key = sorted[i].key;
+    for (; i < sorted.size() && sorted[i].key == key; ++i)
+      values.push_back(sorted[i].value);
+    reducer.reduce(key, values, salt, out);
+  }
+}
+
+TEST(ChainUdfs, ReduceAllEqualsPerGroupReduce) {
+  const workloads::ChainReducer reducer;
+  const std::vector<Record> sorted = sorted_groups({1, 3, 9, 1, 17, 2, 8});
+  Emitter per_group, batch;
+  reduce_per_group(reducer, sorted, 42, per_group);
+  reducer.reduce_all(sorted, 42, batch);
+  ASSERT_EQ(batch.records().size(), sorted.size());
+  EXPECT_EQ(batch.records(), per_group.records());
+}
+
+/// Emits (key, number of values) per reduce() call: shows the grouping.
+class GroupSizeReducer final : public ReduceUdf {
+ public:
+  void reduce(std::uint64_t key, std::span<const std::uint64_t> values,
+              std::uint64_t, Emitter& out) const override {
+    out.emit(key, values.size());
+  }
+};
+
+TEST(ChainUdfs, BaseBatchBodiesEqualPerRecordPath) {
+  const std::vector<Record> sorted = sorted_groups({2, 1, 9, 3, 1});
+  const workloads::IdentityMapper mapper;
+  Emitter loop, batch;
+  for (const Record& r : sorted) mapper.map(r, 0, loop);
+  mapper.map_all(sorted, 0, batch);
+  EXPECT_EQ(batch.records(), loop.records());
+  EXPECT_EQ(batch.records(), sorted);
+
+  const workloads::IdentityReducer identity;
+  Emitter per_group, all;
+  reduce_per_group(identity, sorted, 0, per_group);
+  identity.reduce_all(sorted, 0, all);
+  EXPECT_EQ(all.records(), per_group.records());
+  EXPECT_EQ(all.records(), sorted);
+
+  // One call per key run, with every value of the run.
+  Emitter groups;
+  GroupSizeReducer().reduce_all(sorted, 0, groups);
+  std::vector<std::uint64_t> sizes;
+  for (const Record& r : groups.records()) sizes.push_back(r.value);
+  EXPECT_EQ(sizes, (std::vector<std::uint64_t>{2, 1, 9, 3, 1}));
 }
 
 TEST(ChainUdfs, IdentityUdfsRoundTrip) {
