@@ -1,7 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the simulator substrate:
 // event-queue throughput, flow reallocation cost, the per-record check
-// kernel, and an end-to-end chain simulation — the knobs that bound how
-// large a cluster the reproduction can sweep.
+// kernel, the map-output ledger recount, and an end-to-end chain
+// simulation — the knobs that bound how large a cluster the
+// reproduction can sweep.
 //
 // Beyond the console table, the binary emits a machine-readable summary
 // (--json_out=BENCH_simcore.json) and can gate on a checked-in baseline
@@ -15,6 +16,7 @@
 
 #include "bench_util.hpp"
 #include "common/rng.hpp"
+#include "mapred/map_output_store.hpp"
 #include "mapred/record.hpp"
 #include "obs/trace.hpp"
 #include "resources/flow_network.hpp"
@@ -179,6 +181,33 @@ void BM_RecordChecks(benchmark::State& state) {
                           static_cast<std::int64_t>(kRecords));
 }
 BENCHMARK(BM_RecordChecks);
+
+// The auditor recounts every chain's map-output ledger from the stored
+// outputs at every audit point. The store has the Fig. 8c DCO shape:
+// 7 jobs x 3,600 outputs spread over 60 nodes, each output with 120
+// per-reducer sizes.
+void BM_MapOutputAudit(benchmark::State& state) {
+  constexpr std::uint32_t kJobs = 7;
+  constexpr std::uint32_t kOutputs = 3600;
+  constexpr std::uint32_t kNodes = 60;
+  constexpr std::uint32_t kReducers = 120;
+  mapred::MapOutputStore store;
+  for (std::uint32_t j = 0; j < kJobs; ++j) {
+    for (std::uint32_t m = 0; m < kOutputs; ++m) {
+      mapred::MapOutput out;
+      out.node = m % kNodes;
+      out.total_bytes = 64.0 * 1024 * 1024;
+      out.per_reducer_bytes.assign(kReducers, out.total_bytes / kReducers);
+      store.put({j, m / kNodes, m % kNodes}, std::move(out));
+    }
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(store.audit_ledger());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(kJobs * kOutputs));
+}
+BENCHMARK(BM_MapOutputAudit);
 
 void BM_SticChain(benchmark::State& state) {
   for (auto _ : state) {

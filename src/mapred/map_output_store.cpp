@@ -1,7 +1,6 @@
 #include "mapred/map_output_store.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <sstream>
 
 #include "common/error.hpp"
@@ -9,8 +8,16 @@
 namespace rcmp::mapred {
 
 Bytes MapOutputStore::charged_bytes(const MapOutput& out) {
-  if (!(out.total_bytes > 0.0)) return 0;
-  return static_cast<Bytes>(std::llround(out.total_bytes));
+  // std::llround without its libm call, which would otherwise be about
+  // half of the recount's cost per output: truncate, then round the
+  // fractional part (exact: b - whole is representable) half away from
+  // zero.
+  const double b = out.total_bytes;
+  if (!(b > 0.0)) return 0;
+  RCMP_CHECK(b < 0x1p63);
+  const auto whole = static_cast<std::int64_t>(b);
+  return static_cast<Bytes>(whole) +
+         (b - static_cast<double>(whole) >= 0.5 ? 1 : 0);
 }
 
 void MapOutputStore::attach_ram(cluster::Cluster* cluster,
@@ -21,18 +28,68 @@ void MapOutputStore::attach_ram(cluster::Cluster* cluster,
   ram_ns_ = ram_namespace;
 }
 
+namespace {
+
+/// The ledger entry of `id`, growing the dense ledger to reach it.
+inline Bytes& entry(std::vector<Bytes>& ledger, std::size_t id) {
+  if (id >= ledger.size()) [[unlikely]] ledger.resize(id + 1, 0);
+  return ledger[id];
+}
+
+Bytes entry_or_zero(const std::vector<Bytes>& ledger, std::size_t id) {
+  return id < ledger.size() ? ledger[id] : 0;
+}
+
+/// Take `b` bytes off the ledger entry of `id`, which must hold them.
+void discharge(std::vector<Bytes>& ledger, std::size_t id, Bytes b) {
+  RCMP_CHECK(id < ledger.size() && ledger[id] >= b);
+  ledger[id] -= b;
+}
+
+/// Orders slot pointers by ascending key: victim choices sort with it,
+/// so no result depends on slot order.
+constexpr auto by_key = [](const auto* a, const auto* b) {
+  return a->key.packed() < b->key.packed();
+};
+
+}  // namespace
+
+std::uint32_t MapOutputStore::acquire_slot() {
+  if (!free_slots_.empty()) {
+    const std::uint32_t id = free_slots_.back();
+    free_slots_.pop_back();
+    return id;
+  }
+  if (slots_used_ % kChunkSlots == 0) {
+    chunks_.push_back(std::make_unique<Slot[]>(kChunkSlots));
+  }
+  return slots_used_++;
+}
+
+void MapOutputStore::erase(Slot& s) {
+  if (!s.out.lost) ledger_remove(s.key, s.out);
+  const auto it = index_.find(s.key);
+  free_slots_.push_back(it->second);
+  index_.erase(it);
+  s.out = MapOutput{};
+  s.live = false;
+  ++erasures_;
+}
+
 void MapOutputStore::ledger_add(const MapOutputKey& key,
                                 const MapOutput& out) {
   const Bytes b = charged_bytes(out);
   if (b == 0) return;
+  // The per-node ledgers are indexed by node id: a charge must name one.
+  RCMP_CHECK(out.node != cluster::kInvalidNode);
   if (out.tier == cluster::StorageTier::kMemory) {
     total_mem_used_ += b;
-    node_mem_used_[out.node] += b;
+    entry(node_mem_used_, out.node) += b;
     return;
   }
   total_used_ += b;
-  job_used_[key.logical_job] += b;
-  node_used_[out.node] += b;
+  entry(job_used_, key.logical_job) += b;
+  entry(node_used_, out.node) += b;
 }
 
 void MapOutputStore::ledger_remove(const MapOutputKey& key,
@@ -42,9 +99,7 @@ void MapOutputStore::ledger_remove(const MapOutputKey& key,
   if (out.tier == cluster::StorageTier::kMemory) {
     RCMP_CHECK(total_mem_used_ >= b);
     total_mem_used_ -= b;
-    auto m = node_mem_used_.find(out.node);
-    RCMP_CHECK(m != node_mem_used_.end() && m->second >= b);
-    if ((m->second -= b) == 0) node_mem_used_.erase(m);
+    discharge(node_mem_used_, out.node, b);
     if (ram_cluster_ != nullptr) {
       ram_cluster_->ram_discharge(out.node, ram_ns_, key.packed());
     }
@@ -52,39 +107,31 @@ void MapOutputStore::ledger_remove(const MapOutputKey& key,
   }
   RCMP_CHECK(total_used_ >= b);
   total_used_ -= b;
-  auto j = job_used_.find(key.logical_job);
-  RCMP_CHECK(j != job_used_.end() && j->second >= b);
-  if ((j->second -= b) == 0) job_used_.erase(j);
-  auto n = node_used_.find(out.node);
-  RCMP_CHECK(n != node_used_.end() && n->second >= b);
-  if ((n->second -= b) == 0) node_used_.erase(n);
+  discharge(job_used_, key.logical_job, b);
+  discharge(node_used_, out.node, b);
 }
 
 void MapOutputStore::spill_node(cluster::NodeId node, Bytes need) {
   // Oldest first (ascending key): an iterative chain keeps its newest
   // outputs — the ones the next job shuffles — hot in RAM. Demotion is
   // always safe, pinned or not: the bytes survive, just on disk.
-  std::vector<MapOutputKey> keys;
-  for (const auto& [key, out] : outputs_) {
-    if (out.tier == cluster::StorageTier::kMemory && !out.lost &&
-        out.node == node) {
-      keys.push_back(key);
+  std::vector<Slot*> victims;
+  for_each_live(*this, [&](Slot& s) {
+    if (s.out.tier == cluster::StorageTier::kMemory && !s.out.lost &&
+        s.out.node == node) {
+      victims.push_back(&s);
     }
-  }
-  std::sort(keys.begin(), keys.end(),
-            [](const MapOutputKey& a, const MapOutputKey& b) {
-              return a.packed() < b.packed();
-            });
-  for (const MapOutputKey& key : keys) {
+  });
+  std::sort(victims.begin(), victims.end(), by_key);
+  for (Slot* s : victims) {
     if (ram_cluster_->ram_used(node) + need <=
         ram_cluster_->ram_capacity()) {
       break;
     }
-    MapOutput& out = outputs_.at(key);
-    ledger_remove(key, out);  // drops the RAM reference
-    out.tier = cluster::StorageTier::kDisk;
-    ledger_add(key, out);
-    if (spill_hook_) spill_hook_(node, charged_bytes(out));
+    ledger_remove(s->key, s->out);  // drops the RAM reference
+    s->out.tier = cluster::StorageTier::kDisk;
+    ledger_add(s->key, s->out);
+    if (spill_hook_) spill_hook_(node, charged_bytes(s->out));
   }
 }
 
@@ -92,13 +139,17 @@ void MapOutputStore::put(const MapOutputKey& key, MapOutput output) {
   // Capture per-bucket checksums so shuffle fetches can verify what they
   // read against what the mapper produced.
   if (!output.buckets.empty() && output.bucket_sums.empty()) {
-    output.bucket_sums.reserve(output.buckets.size());
-    for (const auto& bucket : output.buckets) {
-      output.bucket_sums.push_back(checksum_of(bucket));
-    }
+    output.bucket_sums = bucket_checksums(output.buckets);
   }
-  auto [it, inserted] = outputs_.try_emplace(key);
-  if (!inserted && !it->second.lost) ledger_remove(key, it->second);
+  auto [it, inserted] = index_.try_emplace(key);
+  if (inserted) {
+    it->second = acquire_slot();
+    Slot& s = slot(it->second);
+    s.key = key;
+    s.live = true;
+  }
+  MapOutput& stored = slot(it->second).out;
+  if (!inserted && !stored.lost) ledger_remove(key, stored);
   if (output.tier == cluster::StorageTier::kMemory && !output.lost) {
     const Bytes b = charged_bytes(output);
     if (b == 0 || ram_cluster_ == nullptr ||
@@ -118,16 +169,16 @@ void MapOutputStore::put(const MapOutputKey& key, MapOutput output) {
     }
   }
   if (!output.lost) ledger_add(key, output);
-  it->second = std::move(output);
+  stored = std::move(output);
 }
 
 bool MapOutputStore::contains(const MapOutputKey& key) const {
-  return outputs_.count(key) > 0;
+  return index_.count(key) > 0;
 }
 
 const MapOutput* MapOutputStore::find(const MapOutputKey& key) const {
-  auto it = outputs_.find(key);
-  return it == outputs_.end() ? nullptr : &it->second;
+  auto it = index_.find(key);
+  return it == index_.end() ? nullptr : &slot(it->second).out;
 }
 
 bool MapOutputStore::usable(const MapOutputKey& key,
@@ -149,18 +200,18 @@ bool MapOutputStore::usable(const MapOutputKey& key,
 }
 
 void MapOutputStore::drop(const MapOutputKey& key) {
-  auto it = outputs_.find(key);
-  if (it == outputs_.end()) return;
-  if (!it->second.lost) ledger_remove(key, it->second);
-  outputs_.erase(it);
-  ++erasures_;
+  auto it = index_.find(key);
+  if (it == index_.end()) return;
+  erase(slot(it->second));
 }
 
 void MapOutputStore::mark_lost(const MapOutputKey& key) {
-  auto it = outputs_.find(key);
-  if (it == outputs_.end() || it->second.lost) return;
-  ledger_remove(key, it->second);
-  it->second.lost = true;
+  auto it = index_.find(key);
+  if (it == index_.end()) return;
+  MapOutput& out = slot(it->second).out;
+  if (out.lost) return;
+  ledger_remove(key, out);
+  out.lost = true;
 }
 
 BucketState MapOutputStore::bucket_state(const MapOutputKey& key,
@@ -188,18 +239,15 @@ BucketState MapOutputStore::bucket_state(const MapOutput& out,
 }
 
 bool MapOutputStore::corrupt_one(Rng& rng) {
-  // Deterministic victim choice: unordered_map order is not portable, so
-  // sort candidate keys before drawing.
-  std::vector<MapOutputKey> keys;
-  for (const auto& [key, out] : outputs_) {
-    if (!out.lost) keys.push_back(key);
-  }
-  if (keys.empty()) return false;
-  std::sort(keys.begin(), keys.end(),
-            [](const MapOutputKey& a, const MapOutputKey& b) {
-              return a.packed() < b.packed();
-            });
-  MapOutput& out = outputs_.at(keys[rng.below(keys.size())]);
+  // Deterministic victim choice: slot order depends on the store's
+  // history, so sort candidates by key before drawing.
+  std::vector<Slot*> candidates;
+  for_each_live(*this, [&](Slot& s) {
+    if (!s.out.lost) candidates.push_back(&s);
+  });
+  if (candidates.empty()) return false;
+  std::sort(candidates.begin(), candidates.end(), by_key);
+  MapOutput& out = candidates[rng.below(candidates.size())]->out;
   std::vector<std::size_t> nonempty;
   for (std::size_t b = 0; b < out.buckets.size(); ++b) {
     if (!out.buckets[b].empty()) nonempty.push_back(b);
@@ -215,15 +263,9 @@ bool MapOutputStore::corrupt_one(Rng& rng) {
 }
 
 void MapOutputStore::drop_job(std::uint32_t logical_job) {
-  for (auto it = outputs_.begin(); it != outputs_.end();) {
-    if (it->first.logical_job == logical_job) {
-      if (!it->second.lost) ledger_remove(it->first, it->second);
-      it = outputs_.erase(it);
-      ++erasures_;
-    } else {
-      ++it;
-    }
-  }
+  for_each_live(*this, [&](Slot& s) {
+    if (s.key.logical_job == logical_job) erase(s);
+  });
 }
 
 Bytes MapOutputStore::evict_upto(std::uint32_t logical_job, Bytes bytes) {
@@ -231,88 +273,82 @@ Bytes MapOutputStore::evict_upto(std::uint32_t logical_job, Bytes bytes) {
   // recompute frontier — deleting them would force a deeper cascade
   // than the replan planned for (or lose the chain entirely).
   if (job_pinned(logical_job)) return 0;
-  std::vector<MapOutputKey> keys;
-  for (const auto& [key, out] : outputs_) {
+  std::vector<Slot*> victims;
+  for_each_live(*this, [&](Slot& s) {
     // Only disk-tier outputs are charged against the shared budget;
     // memory outputs are reclaimed by demotion under RAM pressure.
-    if (key.logical_job == logical_job && !out.lost &&
-        out.tier == cluster::StorageTier::kDisk) {
-      keys.push_back(key);
+    if (s.key.logical_job == logical_job && !s.out.lost &&
+        s.out.tier == cluster::StorageTier::kDisk) {
+      victims.push_back(&s);
     }
-  }
-  std::sort(keys.begin(), keys.end(),
-            [](const MapOutputKey& a, const MapOutputKey& b) {
-              return a.packed() > b.packed();
-            });
+  });
+  std::sort(victims.begin(), victims.end(),
+            [](const Slot* a, const Slot* b) { return by_key(b, a); });
   Bytes freed = 0;
-  for (const MapOutputKey& key : keys) {
+  for (Slot* s : victims) {
     if (freed >= bytes) break;
-    auto it = outputs_.find(key);
-    freed += charged_bytes(it->second);
-    ledger_remove(key, it->second);
-    outputs_.erase(it);
-    ++erasures_;
+    freed += charged_bytes(s->out);
+    erase(*s);
   }
   return freed;
 }
 
 void MapOutputStore::on_node_failure(cluster::NodeId dead) {
-  for (auto& [key, out] : outputs_) {
-    if (out.node == dead && !out.lost &&
-        out.tier == cluster::StorageTier::kDisk) {
-      ledger_remove(key, out);
-      out.lost = true;
+  for_each_live(*this, [&](Slot& s) {
+    if (s.out.node == dead && !s.out.lost &&
+        s.out.tier == cluster::StorageTier::kDisk) {
+      ledger_remove(s.key, s.out);
+      s.out.lost = true;
     }
-  }
+  });
 }
 
 void MapOutputStore::on_compute_failure(cluster::NodeId dead) {
-  for (auto& [key, out] : outputs_) {
-    if (out.node == dead && !out.lost &&
-        out.tier == cluster::StorageTier::kMemory) {
+  for_each_live(*this, [&](Slot& s) {
+    if (s.out.node == dead && !s.out.lost &&
+        s.out.tier == cluster::StorageTier::kMemory) {
       // The cluster wiped the node's RAM ledger already; the discharge
       // inside ledger_remove is an idempotent no-op.
-      ledger_remove(key, out);
-      out.lost = true;
+      ledger_remove(s.key, s.out);
+      s.out.lost = true;
     }
-  }
+  });
 }
 
 Bytes MapOutputStore::used_on_node(cluster::NodeId n) const {
-  auto it = node_used_.find(n);
-  return it == node_used_.end() ? 0 : it->second;
+  return entry_or_zero(node_used_, n);
 }
 
 Bytes MapOutputStore::mem_used_on_node(cluster::NodeId n) const {
-  auto it = node_mem_used_.find(n);
-  return it == node_mem_used_.end() ? 0 : it->second;
+  return entry_or_zero(node_mem_used_, n);
 }
 
 Bytes MapOutputStore::used_for_job(std::uint32_t logical_job) const {
-  auto it = job_used_.find(logical_job);
-  return it == job_used_.end() ? 0 : it->second;
+  return entry_or_zero(job_used_, logical_job);
 }
 
 std::vector<std::string> MapOutputStore::audit_ledger() const {
-  // Ground truth: rescan every stored, not-lost output, per tier.
+  // Ground truth: rescan every stored, not-lost output, per tier, into
+  // dense per-id recounts sized like the ledgers they are checked
+  // against.
   Bytes total = 0;
   Bytes total_mem = 0;
-  std::unordered_map<std::uint32_t, Bytes> per_job;
-  std::unordered_map<cluster::NodeId, Bytes> per_node;
-  std::unordered_map<cluster::NodeId, Bytes> per_node_mem;
-  for (const auto& [key, out] : outputs_) {
-    if (out.lost) continue;
-    const Bytes b = charged_bytes(out);
-    if (b == 0) continue;
-    if (out.tier == cluster::StorageTier::kMemory) {
+  std::vector<Bytes> per_job(job_used_.size(), 0);
+  std::vector<Bytes> per_node(node_used_.size(), 0);
+  std::vector<Bytes> per_node_mem(node_mem_used_.size(), 0);
+  for_each_live(*this, [&](const Slot& s) {
+    if (s.out.lost) return;
+    const Bytes b = charged_bytes(s.out);
+    if (b == 0) return;
+    if (s.out.tier == cluster::StorageTier::kMemory) {
       total_mem += b;
-      per_node_mem[out.node] += b;
+      entry(per_node_mem, s.out.node) += b;
     } else {
       total += b;
-      per_job[key.logical_job] += b;
-      per_node[out.node] += b;
+      entry(per_job, s.key.logical_job) += b;
+      entry(per_node, s.out.node) += b;
     }
-  }
+  });
   std::vector<std::string> out;
   if (total != total_used_) {
     std::ostringstream os;
@@ -326,31 +362,52 @@ std::vector<std::string> MapOutputStore::audit_ledger() const {
        << total_mem_used_ << " B, recount=" << total_mem << " B";
     out.push_back(os.str());
   }
-  auto compare = [&out](const char* what, const auto& ledger,
-                        const auto& recount) {
-    for (const auto& [id, b] : recount) {
-      auto it = ledger.find(id);
-      const Bytes have = it == ledger.end() ? 0 : it->second;
-      if (have != b) {
-        std::ostringstream os;
-        os << "map-output ledger drifted for " << what << " " << id
-           << ": ledger=" << have << " B, recount=" << b << " B";
-        out.push_back(os.str());
-      }
-    }
-    for (const auto& [id, b] : ledger) {
-      if (b != 0 && recount.find(id) == recount.end()) {
-        std::ostringstream os;
+  // Id by id, ascending. A recount of 0 means no live output matches
+  // the id, so a nonzero ledger entry there is a stray charge.
+  auto compare = [&out](const char* what, const std::vector<Bytes>& ledger,
+                        const std::vector<Bytes>& recount) {
+    const std::size_t ids = std::max(ledger.size(), recount.size());
+    for (std::size_t id = 0; id < ids; ++id) {
+      const Bytes have = entry_or_zero(ledger, id);
+      const Bytes want = entry_or_zero(recount, id);
+      if (have == want) continue;
+      std::ostringstream os;
+      if (want == 0) {
         os << "map-output ledger charges " << what << " " << id << " "
-           << b << " B but no live output matches";
-        out.push_back(os.str());
+           << have << " B but no live output matches";
+      } else {
+        os << "map-output ledger drifted for " << what << " " << id
+           << ": ledger=" << have << " B, recount=" << want << " B";
       }
+      out.push_back(os.str());
     }
   };
   compare("job", job_used_, per_job);
   compare("node", node_used_, per_node);
   compare("node (memory tier)", node_mem_used_, per_node_mem);
   return out;
+}
+
+void MapOutputStore::debug_corrupt_ledger(Ledger ledger, std::uint32_t id,
+                                          std::int64_t delta) {
+  const auto d = static_cast<Bytes>(delta);  // wraps when negative
+  switch (ledger) {
+    case Ledger::kTotal:
+      total_used_ += d;
+      return;
+    case Ledger::kMemoryTotal:
+      total_mem_used_ += d;
+      return;
+    case Ledger::kJob:
+      entry(job_used_, id) += d;
+      return;
+    case Ledger::kNode:
+      entry(node_used_, id) += d;
+      return;
+    case Ledger::kNodeMemory:
+      entry(node_mem_used_, id) += d;
+      return;
+  }
 }
 
 }  // namespace rcmp::mapred

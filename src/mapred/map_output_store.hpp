@@ -19,6 +19,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -96,8 +97,8 @@ class MapOutputStore {
   bool contains(const MapOutputKey& key) const;
   /// nullptr if absent. The pointer stays valid, and sees every later
   /// change to the output (put over the same key included), until
-  /// erasures() changes: elements survive put()'s rehashes and are only
-  /// freed by an erase.
+  /// erasures() changes: an output's slot never moves, a put over its
+  /// key replaces it in place, and only an erase frees the slot.
   const MapOutput* find(const MapOutputKey& key) const;
   /// Outputs erased so far: drop, drop_job and evict_upto, the store's
   /// only erase sites, bump it once per output. A caller holding a
@@ -181,7 +182,7 @@ class MapOutputStore {
   /// RAM ledger, audited against it).
   Bytes total_mem_used() const { return total_mem_used_; }
   Bytes mem_used_on_node(cluster::NodeId n) const;
-  std::size_t size() const { return outputs_.size(); }
+  std::size_t size() const { return index_.size(); }
 
   /// Observability hook fired when RAM pressure demotes a memory-tier
   /// output to disk (bytes spilled on that node).
@@ -191,14 +192,27 @@ class MapOutputStore {
 
   /// Invariant audit: recount total / per-job / per-node usage from the
   /// stored outputs (the ground truth) and compare with the ledger.
-  /// One message per mismatch; empty = consistent. Used by
-  /// obs::Auditor.
+  /// One message per mismatch, per-id ledgers in ascending id order;
+  /// empty = consistent. Used by obs::Auditor.
   std::vector<std::string> audit_ledger() const;
 
-  /// Test hook: corrupt the total-used ledger by `delta` bytes so tests
-  /// can prove the auditor catches drift. Never called outside tests.
+  /// The ledgers audit_ledger() recounts: the disk and memory-tier
+  /// totals, and the per-job, per-node and per-node memory-tier ones.
+  enum class Ledger : std::uint8_t {
+    kTotal,
+    kMemoryTotal,
+    kJob,
+    kNode,
+    kNodeMemory,
+  };
+  /// Test hooks: corrupt one ledger by `delta` bytes (the entry of job
+  /// or node `id` for a per-id ledger; `id` is ignored for a total), so
+  /// tests can prove the auditor catches drift. The one-argument form
+  /// corrupts the disk total. Never called outside tests.
+  void debug_corrupt_ledger(Ledger ledger, std::uint32_t id,
+                            std::int64_t delta);
   void debug_corrupt_ledger(std::int64_t delta) {
-    total_used_ += static_cast<Bytes>(delta);  // wraps when negative
+    debug_corrupt_ledger(Ledger::kTotal, 0, delta);
   }
 
  private:
@@ -207,6 +221,41 @@ class MapOutputStore {
       return static_cast<std::size_t>(k.packed() * 0x9e3779b97f4a7c15ULL);
     }
   };
+
+  /// One output's home in the arena. Slots sit in fixed-size chunks
+  /// that never move, so a stored output keeps its address until an
+  /// erase frees its slot for a later put.
+  struct Slot {
+    MapOutput out;
+    MapOutputKey key;
+    bool live = false;
+  };
+  static constexpr std::uint32_t kChunkSlots = 128;
+
+  Slot& slot(std::uint32_t id) {
+    return chunks_[id / kChunkSlots][id % kChunkSlots];
+  }
+  const Slot& slot(std::uint32_t id) const {
+    return chunks_[id / kChunkSlots][id % kChunkSlots];
+  }
+  /// Calls f(slot) for every live slot, in slot order: one linear scan
+  /// over the chunks, the store's only whole-store walk. Slot order
+  /// depends on the put/erase history, so every caller either
+  /// accumulates order-free sums or sorts by key before choosing.
+  template <typename Self, typename F>
+  static void for_each_live(Self& self, F&& f) {
+    for (std::uint32_t id = 0; id < self.slots_used_; ++id) {
+      auto& s = self.slot(id);
+      if (s.live) f(s);
+    }
+  }
+  /// A free slot for a new key: the most recently freed one, else the
+  /// next never-used one (a new chunk every kChunkSlots).
+  std::uint32_t acquire_slot();
+  /// The store's one erase: discharge the ledgers, drop the key from
+  /// the index, release the output's vectors, free the slot and bump
+  /// erasures().
+  void erase(Slot& s);
 
   /// Integer bytes an output occupies in the ledger.
   static Bytes charged_bytes(const MapOutput& out);
@@ -221,15 +270,21 @@ class MapOutputStore {
   /// headroom fits `need` more bytes (or none are left).
   void spill_node(cluster::NodeId node, Bytes need);
 
-  std::unordered_map<MapOutputKey, MapOutput, KeyHash> outputs_;
+  std::vector<std::unique_ptr<Slot[]>> chunks_;
+  /// Slots handed out so far (live or freed); walks stop here.
+  std::uint32_t slots_used_ = 0;
+  std::vector<std::uint32_t> free_slots_;
+  std::unordered_map<MapOutputKey, std::uint32_t, KeyHash> index_;
   std::uint64_t erasures_ = 0;
+  // Per-id ledgers are dense: logical job and node ids are small
+  // integers, so each is a vector indexed by id, grown on demand.
   Bytes total_used_ = 0;
-  std::unordered_map<std::uint32_t, Bytes> job_used_;
-  std::unordered_map<cluster::NodeId, Bytes> node_used_;
+  std::vector<Bytes> job_used_;
+  std::vector<Bytes> node_used_;
   cluster::Cluster* ram_cluster_ = nullptr;
   std::uint32_t ram_ns_ = 0;
   Bytes total_mem_used_ = 0;
-  std::unordered_map<cluster::NodeId, Bytes> node_mem_used_;
+  std::vector<Bytes> node_mem_used_;
   std::unordered_set<std::uint32_t> pinned_jobs_;
   std::function<void(cluster::NodeId, Bytes)> spill_hook_;
 };

@@ -37,6 +37,13 @@ void check_pass(std::span<const Record> pass, LaneWords& words,
   for (std::size_t l = 0; l < pass.size(); ++l) out[l] = {md5[l], sums[l]};
 }
 
+/// Checksum::add of one checked record, minus the count.
+void fold(Checksum& c, const RecordChecks& checks, const Record& r) {
+  c.md5_acc += checks.md5;
+  c.sum_acc += checks.byte_sum;
+  c.key_acc += mix64(r.key);
+}
+
 }  // namespace
 
 void record_checks(std::span<const Record> records, RecordChecks* out) {
@@ -55,9 +62,7 @@ void Checksum::add(std::span<const Record> records) {
         records.subspan(i, std::min(kLanes, records.size() - i));
     check_pass(pass, words, checks);
     for (std::size_t l = 0; l < pass.size(); ++l) {
-      md5_acc += checks[l].md5;
-      sum_acc += checks[l].byte_sum;
-      key_acc += mix64(pass[l].key);
+      fold(*this, checks[l], pass[l]);
     }
   }
   count += records.size();
@@ -67,6 +72,33 @@ Checksum checksum_of(std::span<const Record> records) {
   Checksum c;
   c.add(records);
   return c;
+}
+
+std::vector<Checksum> bucket_checksums(
+    std::span<const std::vector<Record>> buckets) {
+  std::vector<Checksum> sums(buckets.size());
+  LaneWords words = {};
+  Record pass[kLanes];
+  std::size_t owner[kLanes];  // bucket of each lane
+  RecordChecks checks[kLanes];
+  std::size_t filled = 0;
+  auto run_pass = [&] {
+    check_pass({pass, filled}, words, checks);
+    for (std::size_t l = 0; l < filled; ++l) {
+      fold(sums[owner[l]], checks[l], pass[l]);
+    }
+    filled = 0;
+  };
+  for (std::size_t b = 0; b < buckets.size(); ++b) {
+    for (const Record& r : buckets[b]) {
+      pass[filled] = r;
+      owner[filled] = b;
+      if (++filled == kLanes) run_pass();
+    }
+    sums[b].count = buckets[b].size();
+  }
+  if (filled > 0) run_pass();
+  return sums;
 }
 
 void MapUdf::map_all(std::span<const Record> in, std::uint64_t job_salt,

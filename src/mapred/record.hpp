@@ -99,6 +99,14 @@ struct Checksum {
 
 Checksum checksum_of(std::span<const Record> records);
 
+/// checksum_of(buckets[b]) for every bucket b, in one series of
+/// Md5::kLanes-record passes that run across bucket boundaries, each
+/// lane folded into its own bucket's sum. A map output's buckets often
+/// hold only a few records each, so a pass per bucket would leave most
+/// lanes idle. Exact, because every Checksum field is a modular sum.
+std::vector<Checksum> bucket_checksums(
+    std::span<const std::vector<Record>> buckets);
+
 /// Collects a UDF's emitted records.
 class Emitter {
  public:

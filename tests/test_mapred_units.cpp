@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -112,6 +114,32 @@ TEST(Checksum, MergeEqualsConcatenation) {
   std::vector<Record> all = a;
   all.insert(all.end(), b.begin(), b.end());
   EXPECT_EQ(merged, checksum_of(all));
+}
+
+// The map-output store sums all of an output's buckets in one series of
+// lane passes that cross bucket boundaries; every shape must give
+// exactly the per-bucket checksum_of.
+TEST(Checksum, BucketChecksumsEqualPerBucketChecksumOf) {
+  const std::vector<std::vector<std::size_t>> shapes = {
+      {},                        // no buckets
+      {0, 0, 0},                 // all buckets empty
+      {1},                       // one record
+      {7}, {8}, {9}, {7, 8, 9},  // around one full pass
+      {0, 5, 0, 0, 11, 0, 3},    // empty buckets between full ones
+      std::vector<std::size_t>(8, 2),    // the tenant workloads' shape
+      std::vector<std::size_t>(120, 1),  // one record per reducer
+  };
+  std::uint64_t seed = 0xB5C4E75ULL;
+  for (const auto& shape : shapes) {
+    std::vector<std::vector<Record>> buckets;
+    for (std::size_t n : shape) buckets.push_back(seeded_records(++seed, n));
+    const std::vector<Checksum> sums = bucket_checksums(buckets);
+    ASSERT_EQ(sums.size(), buckets.size());
+    for (std::size_t b = 0; b < buckets.size(); ++b) {
+      EXPECT_EQ(sums[b], checksum_of(buckets[b]))
+          << "shape of " << shape.size() << " buckets, bucket " << b;
+    }
+  }
 }
 
 TEST(PayloadStore, AppendAndReadBack) {
@@ -382,6 +410,200 @@ TEST(MapOutputStore, BucketStateCatchesAFlipInEveryLane) {
     EXPECT_EQ(store.bucket_state(key, 0), BucketState::kCorrupt)
         << "record " << i;
   }
+}
+
+/// A store whose ledgers hold: disk outputs of job 1 on nodes 1 and 2
+/// (1000 B each) and one memory-tier output of job 2 on node 3.
+struct LedgerFixture : StoreFixture {
+  LedgerFixture() : StoreFixture(/*ram_bytes=*/1 << 20) {
+    store.attach_ram(&cluster, 1);
+    store.put({1, 0, 0}, make_output(1));
+    store.put({1, 0, 1}, make_output(2));
+    MapOutput mem = make_output(3);
+    mem.tier = cluster::StorageTier::kMemory;
+    store.put({2, 0, 0}, mem);
+  }
+};
+
+TEST(MapOutputStore, AuditReportsDriftInEveryLedger) {
+  using Ledger = MapOutputStore::Ledger;
+  struct Case {
+    Ledger ledger;
+    std::uint32_t id;
+    const char* want;
+  };
+  const Case cases[] = {
+      {Ledger::kTotal, 0,
+       "map-output ledger drifted: total ledger=2064 B, recount=2000 B"},
+      {Ledger::kMemoryTotal, 0,
+       "map-output memory-tier ledger drifted: total ledger=1064 B, "
+       "recount=1000 B"},
+      {Ledger::kJob, 1,
+       "map-output ledger drifted for job 1: ledger=2064 B, "
+       "recount=2000 B"},
+      {Ledger::kNode, 2,
+       "map-output ledger drifted for node 2: ledger=1064 B, "
+       "recount=1000 B"},
+      {Ledger::kNodeMemory, 3,
+       "map-output ledger drifted for node (memory tier) 3: "
+       "ledger=1064 B, recount=1000 B"},
+  };
+  for (const Case& c : cases) {
+    LedgerFixture f;
+    ASSERT_TRUE(f.store.audit_ledger().empty());
+    f.store.debug_corrupt_ledger(c.ledger, c.id, 64);
+    EXPECT_EQ(f.store.audit_ledger(), std::vector<std::string>{c.want});
+  }
+}
+
+TEST(MapOutputStore, AuditReportsChargesWithNoLiveOutput) {
+  // Node 50 lies beyond every live output's node, node 0 inside the
+  // range but without an output; both charges are strays.
+  using Ledger = MapOutputStore::Ledger;
+  LedgerFixture f;
+  f.store.debug_corrupt_ledger(Ledger::kNode, 50, 64);
+  f.store.debug_corrupt_ledger(Ledger::kNodeMemory, 0, 32);
+  const std::vector<std::string> want = {
+      "map-output ledger charges node 50 64 B but no live output matches",
+      "map-output ledger charges node (memory tier) 0 32 B but no live "
+      "output matches",
+  };
+  EXPECT_EQ(f.store.audit_ledger(), want);
+}
+
+TEST(MapOutputStore, AuditReportsDriftedNodesInAscendingIdOrder) {
+  using Ledger = MapOutputStore::Ledger;
+  LedgerFixture f;
+  f.store.debug_corrupt_ledger(Ledger::kNode, 2, 7);
+  f.store.debug_corrupt_ledger(Ledger::kNode, 1, -7);
+  const std::vector<std::string> want = {
+      "map-output ledger drifted for node 1: ledger=993 B, recount=1000 B",
+      "map-output ledger drifted for node 2: ledger=1007 B, "
+      "recount=1000 B",
+  };
+  EXPECT_EQ(f.store.audit_ledger(), want);
+}
+
+// Each output is charged std::llround(total_bytes): halves round away
+// from zero, and sizes past 2^52 (no fractional part) stay exact.
+TEST(MapOutputStore, ChargesAreLlroundOfTotalBytes) {
+  std::vector<double> sizes = {
+      0.25, 0.5, 0.49999999999999994, 1.0, 1.5, 2.5, 1000.6, 2000.4,
+      3000.5, 4503599627370495.5, 4503599627370497.0, 9007199254740994.0,
+      1e18};
+  Rng rng(0x11A0DULL);
+  for (int i = 0; i < 2000; ++i) {
+    const double unit = static_cast<double>(rng() >> 11) * 0x1p-53;
+    sizes.push_back(std::ldexp(unit, static_cast<int>(rng.below(62))));
+  }
+  MapOutputStore store;
+  for (double x : sizes) {
+    MapOutput out;
+    out.node = 0;
+    out.total_bytes = x;
+    store.put({1, 0, 0}, out);
+    ASSERT_EQ(store.total_used(), static_cast<Bytes>(std::llround(x)))
+        << std::hexfloat << x;
+  }
+}
+
+MapOutput sized_output(cluster::NodeId node, double bytes) {
+  MapOutput out = make_output(node);
+  out.total_bytes = bytes;
+  return out;
+}
+
+// Two stores with the same live outputs, reached through different
+// histories (insertion order, erased holes, reused slots), must agree
+// on every ledger, every audit and every seeded victim choice.
+TEST(MapOutputStore, SlotLayoutLeaksIntoNothing) {
+  std::vector<std::pair<MapOutputKey, MapOutput>> live;
+  for (std::uint32_t i = 0; i < 40; ++i) {
+    live.push_back({{1 + i % 2, i / 2, i % 3}, sized_output(i % 4, 1000 + i)});
+  }
+  StoreFixture a;
+  for (const auto& [key, out] : live) a.store.put(key, out);
+
+  StoreFixture b;
+  // Junk of job 9 fills early slots, then half the live outputs go in
+  // in reverse order with one junk output per live one between them.
+  for (std::uint32_t i = 0; i < 16; ++i) {
+    b.store.put({9, i, 0}, sized_output(i % 4, 500));
+  }
+  for (std::size_t i = live.size(); i-- > live.size() / 2;) {
+    b.store.put(live[i].first, live[i].second);
+    b.store.put({3, static_cast<std::uint32_t>(i), 7}, sized_output(0, 10));
+  }
+  // Holes from every erase site, refilled by the other half.
+  for (std::uint32_t i = 0; i < live.size(); i += 2) {
+    b.store.drop({3, i, 7});
+  }
+  EXPECT_GT(b.store.evict_upto(3, ~Bytes{0}), 0u);
+  b.store.drop_job(9);
+  for (std::size_t i = live.size() / 2; i-- > 0;) {
+    b.store.put(live[i].first, live[i].second);
+  }
+
+  ASSERT_EQ(a.store.size(), b.store.size());
+  EXPECT_TRUE(a.store.audit_ledger().empty());
+  EXPECT_TRUE(b.store.audit_ledger().empty());
+  EXPECT_EQ(a.store.total_used(), b.store.total_used());
+  for (cluster::NodeId n = 0; n < 5; ++n) {
+    EXPECT_EQ(a.store.used_on_node(n), b.store.used_on_node(n)) << n;
+  }
+  for (std::uint32_t j = 0; j < 10; ++j) {
+    EXPECT_EQ(a.store.used_for_job(j), b.store.used_for_job(j)) << j;
+  }
+
+  Rng rng_a(0xC0FFEEULL), rng_b(0xC0FFEEULL);
+  ASSERT_TRUE(a.store.corrupt_one(rng_a));
+  ASSERT_TRUE(b.store.corrupt_one(rng_b));
+  EXPECT_EQ(a.store.evict_upto(1, 3000), b.store.evict_upto(1, 3000));
+  std::size_t evicted = 0;
+  for (const auto& [key, out] : live) {
+    const MapOutput* in_a = a.store.find(key);
+    const MapOutput* in_b = b.store.find(key);
+    ASSERT_EQ(in_a == nullptr, in_b == nullptr) << key.packed();
+    if (in_a == nullptr) {
+      ++evicted;
+      continue;
+    }
+    EXPECT_EQ(in_a->corrupt, in_b->corrupt) << key.packed();
+  }
+  EXPECT_EQ(evicted, 3u);
+}
+
+// A put after a drop may take the dropped output's slot. The erase
+// moves erasures(), so a held pointer is re-found: the old key is gone
+// and the new output reads back whole.
+TEST(MapOutputStore, ReusedSlotHoldsOnlyTheNewOutput) {
+  StoreFixture f;
+  const MapOutputKey old_key{1, 0, 0}, new_key{2, 4, 1};
+  MapOutput old_out = make_output(1);
+  old_out.buckets = {seeded_records(0x01DULL, 3), seeded_records(0x01EULL, 2)};
+  f.store.put(old_key, old_out);
+  const std::uint64_t erasures = f.store.erasures();
+  f.store.drop(old_key);
+  MapOutput new_out = make_output(2, 9);
+  new_out.total_bytes = 3000.0;
+  new_out.buckets = {seeded_records(0x2E1ULL, 4), {}};
+  f.store.put(new_key, new_out);
+
+  EXPECT_NE(f.store.erasures(), erasures);
+  EXPECT_EQ(f.store.find(old_key), nullptr);
+  const MapOutput* held = f.store.find(new_key);
+  ASSERT_NE(held, nullptr);
+  EXPECT_EQ(held->node, 2u);
+  EXPECT_EQ(held->input_layout_version, 9u);
+  EXPECT_EQ(held->total_bytes, 3000.0);
+  EXPECT_EQ(held->buckets, new_out.buckets);
+  EXPECT_FALSE(held->lost);
+  for (std::uint32_t p = 0; p < 2; ++p) {
+    EXPECT_EQ(MapOutputStore::bucket_state(*held, p), BucketState::kIntact);
+  }
+  EXPECT_EQ(f.store.used_on_node(1), 0u);
+  EXPECT_EQ(f.store.used_on_node(2), 3000u);
+  EXPECT_TRUE(f.store.audit_ledger().empty());
 }
 
 TEST(MapOutputKey, PackedIsInjectiveOnSmallCoords) {
