@@ -1,8 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the simulator substrate:
 // event-queue throughput, flow reallocation cost, the per-record check
-// kernel, the map-output ledger recount, and an end-to-end chain
-// simulation — the knobs that bound how large a cluster the
-// reproduction can sweep.
+// kernel, the map-output ledger recount, map placement, and an
+// end-to-end chain simulation — the knobs that bound how large a
+// cluster the reproduction can sweep.
 //
 // Beyond the console table, the binary emits a machine-readable summary
 // (--json_out=BENCH_simcore.json) and can gate on a checked-in baseline
@@ -208,6 +208,24 @@ void BM_MapOutputAudit(benchmark::State& state) {
                           static_cast<std::int64_t>(kJobs * kOutputs));
 }
 BENCHMARK(BM_MapOutputAudit);
+
+// Map placement at scale: a 2-job DCO chain on 10 nodes with 8 MiB
+// blocks, 25,600 maps per job. Job 2 reads reducer-written partitions,
+// whose blocks sit together in the pending list, so a locality pass
+// that scanned pending maps from the front for every free slot would
+// dominate the drive.
+void BM_MapPlacement(benchmark::State& state) {
+  auto cfg = workloads::dco_config_nodes(10);
+  cfg.block_size = 8ULL << 20;
+  cfg.chain_length = 2;
+  core::StrategyConfig s;
+  s.strategy = core::Strategy::kRcmpSplit;
+  for (auto _ : state) {
+    auto r = workloads::run_scenario(cfg, s, {});
+    benchmark::DoNotOptimize(r.total_time);
+  }
+}
+BENCHMARK(BM_MapPlacement)->Unit(benchmark::kMillisecond);
 
 void BM_SticChain(benchmark::State& state) {
   for (auto _ : state) {

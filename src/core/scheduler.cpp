@@ -21,10 +21,12 @@ ChainScheduler::ChainScheduler(sim::Simulation& sim,
                                Config cfg)
     : sim_(sim), cluster_(cluster), dfs_(dfs), obs_(obs), cfg_(cfg) {
   free_.assign(cluster_.size(), {0, 0});
+  free_nodes_.assign(kNumKinds, cluster_.size());
   for (cluster::NodeId n = 0; n < cluster_.size(); ++n) {
     if (!cluster_.is_compute_node(n) || !cluster_.compute_alive(n)) continue;
     free_[n][kMap] = static_cast<std::uint16_t>(cluster_.spec().map_slots);
     free_[n][1] = static_cast<std::uint16_t>(cluster_.spec().reduce_slots);
+    sync_free(n);
   }
   recount_alive_slots();
   // Settle the slot books before any middleware (registered later, so
@@ -171,6 +173,7 @@ void ChainScheduler::acquire(std::uint32_t c, cluster::NodeId n,
   ChainState& cs = chains_[c];
   RCMP_CHECK_MSG(free_[n][k] > 0, "acquire from an empty slot inventory");
   --free_[n][k];
+  sync_free(n);
   ++cs.held[n][k];
   ++cs.in_use[k];
   cs.peak_in_use[k] = std::max(cs.peak_in_use[k], cs.in_use[k]);
@@ -195,6 +198,7 @@ void ChainScheduler::release(std::uint32_t c, cluster::NodeId n,
   --cs.held[n][k];
   --cs.in_use[k];
   ++free_[n][k];
+  sync_free(n);
   schedule_poke();
 }
 
@@ -208,6 +212,7 @@ void ChainScheduler::release_all(std::uint32_t c) {
         --cs.in_use[k];
         if (cluster_.compute_alive(n)) {
           ++free_[n][k];
+          sync_free(n);
           freed = true;
         }
       }
@@ -232,6 +237,7 @@ void ChainScheduler::node_down(cluster::NodeId n) {
     }
   }
   free_[n] = {0, 0};
+  sync_free(n);
   recount_alive_slots();
   // The shrunken cluster changes every entitlement; survivors may now
   // be over share, hungry chains may have become eligible.
@@ -242,8 +248,26 @@ void ChainScheduler::node_up(cluster::NodeId n) {
   if (!cluster_.is_compute_node(n)) return;
   free_[n][kMap] = static_cast<std::uint16_t>(cluster_.spec().map_slots);
   free_[n][1] = static_cast<std::uint16_t>(cluster_.spec().reduce_slots);
+  sync_free(n);
   recount_alive_slots();
   schedule_poke();
+}
+
+void ChainScheduler::sync_free(cluster::NodeId n) {
+  for (int k = 0; k < kNumKinds; ++k) {
+    if (free_[n][k] > 0) {
+      free_nodes_.set(k, n);
+    } else {
+      free_nodes_.clear(k, n);
+    }
+  }
+}
+
+cluster::NodeId ChainScheduler::next_free(cluster::NodeId from,
+                                          mapred::SlotKind k) const {
+  const std::uint32_t n =
+      free_nodes_.next(static_cast<std::uint32_t>(k), from);
+  return n == BitRows::kNone ? cluster::kInvalidNode : n;
 }
 
 void ChainScheduler::recount_alive_slots() {

@@ -59,6 +59,7 @@
 
 #include "cluster/cluster.hpp"
 #include "cluster/detector.hpp"
+#include "common/bit_rows.hpp"
 #include "common/units.hpp"
 #include "dfs/namenode.hpp"
 #include "mapred/map_output_store.hpp"
@@ -164,6 +165,13 @@ class ChainScheduler {
   std::uint32_t alive_slots(mapred::SlotKind k) const {
     return alive_slots_[static_cast<int>(k)];
   }
+  /// Unheld slots of kind k on node n.
+  std::uint32_t free_slots(cluster::NodeId n, mapred::SlotKind k) const {
+    return free_[n][static_cast<int>(k)];
+  }
+  /// The smallest node >= `from` with a free slot of kind k, or
+  /// cluster::kInvalidNode (SlotBroker::next_free for every chain).
+  cluster::NodeId next_free(cluster::NodeId from, mapred::SlotKind k) const;
 
  private:
   /// The per-chain SlotBroker client handed to the engine.
@@ -184,6 +192,10 @@ class ChainScheduler {
     void release_all() override { sched_->release_all(chain_); }
     void set_demand(mapred::SlotKind k, bool hungry) override {
       sched_->set_demand(chain_, k, hungry);
+    }
+    cluster::NodeId next_free(cluster::NodeId from,
+                              mapred::SlotKind k) const override {
+      return sched_->next_free(from, k);
     }
 
    private:
@@ -232,6 +244,9 @@ class ChainScheduler {
 
   void node_down(cluster::NodeId n);
   void node_up(cluster::NodeId n);
+  /// Re-derive n's bits in free_nodes_ from free_[n]; called after
+  /// every change of free_[n].
+  void sync_free(cluster::NodeId n);
   void recount_alive_slots();
 
   /// Coalesced zero-delay event offering freed capacity to hungry
@@ -252,6 +267,8 @@ class ChainScheduler {
   std::vector<ChainState> chains_;
   /// Shared free-slot inventory, per node: [map, reduce].
   std::vector<std::array<std::uint16_t, 2>> free_;
+  /// Row k: the nodes with free_[n][k] > 0.
+  BitRows free_nodes_;
   std::uint32_t alive_slots_[2] = {0, 0};
   double active_weight_ = 0.0;
   std::uint32_t active_ = 0;

@@ -250,6 +250,7 @@ void NameNode::clear_partition(FileId f, PartitionIndex p,
     bi.replicas.clear();
     bi.size = 0;
   }
+  ++replica_version_;
   part.blocks.clear();
   part.size = 0;
   part.written = false;
@@ -342,6 +343,7 @@ std::vector<LossReport> NameNode::on_node_failure(cluster::NodeId dead) {
   // a valid write target, so liveness filtering alone would hide the
   // loss) and for transient rejoins (a node returning with an empty disk
   // must not resurrect stale replicas).
+  ++replica_version_;
   for (BlockInfo& bi : blocks_) {
     if (bi.tier != cluster::StorageTier::kDisk) continue;
     bi.replicas.erase(std::remove(bi.replicas.begin(), bi.replicas.end(),
@@ -394,6 +396,7 @@ std::vector<LossReport> NameNode::on_compute_failure(cluster::NodeId dead) {
       }
     }
   }
+  ++replica_version_;
   for (BlockInfo& bi : blocks_) {
     if (bi.tier != cluster::StorageTier::kMemory) continue;
     bi.replicas.erase(std::remove(bi.replicas.begin(), bi.replicas.end(),

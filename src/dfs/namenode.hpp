@@ -137,6 +137,11 @@ class NameNode {
 
   const PartitionInfo& partition(FileId f, PartitionIndex p) const;
   const BlockInfo& block(std::uint64_t block_id) const;
+  /// Bumped whenever existing blocks' replica lists change:
+  /// clear_partition() and the disk- and memory-loss strips. Indexes
+  /// keyed by replica node (the engine's locality index) rebuild when
+  /// it has moved. Committing new blocks does not bump it.
+  std::uint64_t replica_version() const { return replica_version_; }
   std::uint64_t layout_version(FileId f, PartitionIndex p) const {
     return partition(f, p).layout_version;
   }
@@ -215,6 +220,7 @@ class NameNode {
   std::vector<Bytes> mem_per_node_;
   std::function<void(cluster::NodeId, Bytes)> spill_hook_;
   std::uint64_t scatter_cursor_ = 0;
+  std::uint64_t replica_version_ = 0;
 };
 
 }  // namespace rcmp::dfs

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <string>
+#include <utility>
 
 #include "common/error.hpp"
 #include "common/log.hpp"
@@ -280,7 +281,12 @@ void JobRun::schedule_maps() {
       if (maps_[m].not_before > env_.sim.now()) {
         deferred.push_back(m);
         wake = std::min(wake, maps_[m].not_before);
+        index_pending(i, m, false);
       } else {
+        if (w != i) {
+          index_pending(i, m, false);
+          index_pending(w, m, true);
+        }
         pending_maps_[w++] = m;
       }
     }
@@ -292,24 +298,30 @@ void JobRun::schedule_maps() {
 
   // Locality pass: give every node with free map slots its local blocks
   // first (with even data distribution this keeps initial runs fully
-  // data-local, as the paper notes for collocated clusters). The slot
-  // check is hoisted: its answer only changes when this loop assigns a
-  // task, and it is never asked with nothing left to place (a denial is
-  // counted).
-  for (cluster::NodeId n = 0;
-       !cfg_.ignore_locality && n < env_.cluster.size(); ++n) {
-    if (!env_.cluster.compute_alive(n)) continue;
-    bool slot_free = !pending_maps_.empty() && map_slot_free(n);
-    for (std::size_t i = 0; slot_free && i < pending_maps_.size();) {
-      const std::uint32_t m = pending_maps_[i];
-      const auto& reps = env_.dfs.block(maps_[m].block_id).replicas;
-      if (std::find(reps.begin(), reps.end(), n) != reps.end()) {
+  // data-local, as the paper notes for collocated clusters). Nodes go in
+  // ascending order; each takes the lowest pending position whose block
+  // has a replica on it, found through the index, until its slot check
+  // fails. A swap-remove moves the last pending map into the freed
+  // position, so the search resumes there. Nodes with no free map slot
+  // are skipped: map_slot_free() would deny them without counting a
+  // denial. The slot check is never asked with nothing left to place.
+  if (!cfg_.ignore_locality && !pending_maps_.empty()) {
+    sync_locality_index();
+    for (cluster::NodeId n = env_.slots.next_free(0, SlotKind::kMap);
+         n != cluster::kInvalidNode && !pending_maps_.empty();
+         n = env_.slots.next_free(n + 1, SlotKind::kMap)) {
+      if (!env_.cluster.compute_alive(n)) continue;
+      bool slot_free = map_slot_free(n);
+      std::uint32_t pos = 0;
+      while (slot_free) {
+        pos = local_pending_.next(n, pos);
+        if (pos == BitRows::kNone) break;
+        const std::uint32_t m = pending_maps_[pos];
+        const auto& reps = env_.dfs.block(maps_[m].block_id).replicas;
+        RCMP_CHECK(std::find(reps.begin(), reps.end(), n) != reps.end());
         assign_map(m, n);
-        pending_maps_[i] = pending_maps_.back();
-        pending_maps_.pop_back();
-        slot_free = i < pending_maps_.size() && map_slot_free(n);
-      } else {
-        ++i;
+        remove_pending(pos);
+        slot_free = pos < pending_maps_.size() && map_slot_free(n);
       }
     }
   }
@@ -319,24 +331,15 @@ void JobRun::schedule_maps() {
   // recomputation: every surviving node pulls its map input from the
   // single node holding the regenerated partition (paper Fig. 6).
   while (!pending_maps_.empty()) {
-    cluster::NodeId target = cluster::kInvalidNode;
-    for (std::uint32_t step = 0; step < env_.cluster.size(); ++step) {
-      const cluster::NodeId n =
-          (rr_cursor_ + step) % env_.cluster.size();
-      if (env_.cluster.compute_alive(n) && map_slot_free(n)) {
-        target = n;
-        rr_cursor_ = n + 1;
-        break;
-      }
-    }
+    const cluster::NodeId target = round_robin_slot(SlotKind::kMap);
     if (target == cluster::kInvalidNode) break;
     const std::uint32_t m = pending_maps_.back();
-    pending_maps_.pop_back();
+    remove_pending(pending_maps_.size() - 1);
     assign_map(m, target);
   }
 
-  pending_maps_.insert(pending_maps_.end(), deferred.begin(),
-                       deferred.end());
+  for (const std::uint32_t m : deferred) append_pending(m);
+  if (pending_maps_.empty()) local_pending_.release();
 }
 
 void JobRun::schedule_reduces() {
@@ -361,16 +364,7 @@ void JobRun::schedule_reduces() {
 
   std::size_t head = 0;
   while (head < pending_reduces_.size()) {
-    cluster::NodeId target = cluster::kInvalidNode;
-    for (std::uint32_t step = 0; step < env_.cluster.size(); ++step) {
-      const cluster::NodeId n =
-          (rr_cursor_ + step) % env_.cluster.size();
-      if (env_.cluster.compute_alive(n) && reduce_slot_free(n)) {
-        target = n;
-        rr_cursor_ = n + 1;
-        break;
-      }
-    }
+    const cluster::NodeId target = round_robin_slot(SlotKind::kReduce);
     if (target == cluster::kInvalidNode) break;
     assign_reduce(pending_reduces_[head], target);
     ++head;
@@ -380,6 +374,76 @@ void JobRun::schedule_reduces() {
                              static_cast<std::ptrdiff_t>(head));
   pending_reduces_.insert(pending_reduces_.end(), deferred.begin(),
                           deferred.end());
+}
+
+cluster::NodeId JobRun::round_robin_slot(SlotKind k,
+                                         cluster::NodeId exclude) {
+  // Nodes start..size-1, then 0..start-1, visiting only those with a
+  // free slot (the rest would be denied without side effects).
+  const cluster::NodeId start = rr_cursor_ % env_.cluster.size();
+  const std::pair<cluster::NodeId, cluster::NodeId> laps[] = {
+      {start, env_.cluster.size()}, {0, start}};
+  for (const auto& [from, end] : laps) {
+    for (cluster::NodeId n = env_.slots.next_free(from, k);
+         n != cluster::kInvalidNode && n < end;
+         n = env_.slots.next_free(n + 1, k)) {
+      if (n == exclude || !env_.cluster.compute_alive(n)) continue;
+      const bool free = k == SlotKind::kMap ? map_slot_free(n)
+                                            : reduce_slot_free(n);
+      if (free) {
+        rr_cursor_ = n + 1;
+        return n;
+      }
+    }
+  }
+  return cluster::kInvalidNode;
+}
+
+// ---------------------------------------------------------------------
+// pending maps and their locality index
+// ---------------------------------------------------------------------
+
+void JobRun::index_pending(std::size_t pos, std::uint32_t m, bool present) {
+  if (local_pending_.empty()) return;
+  const auto p = static_cast<std::uint32_t>(pos);
+  for (const cluster::NodeId n :
+       env_.dfs.block(maps_[m].block_id).replicas) {
+    if (present) {
+      local_pending_.set(n, p);
+    } else {
+      local_pending_.clear(n, p);
+    }
+  }
+}
+
+void JobRun::sync_locality_index() {
+  const std::uint64_t version = env_.dfs.replica_version();
+  if (!local_pending_.empty() && local_replica_version_ == version) return;
+  local_pending_.assign(env_.cluster.size(),
+                        static_cast<std::uint32_t>(maps_.size()));
+  local_replica_version_ = version;
+  for (std::size_t i = 0; i < pending_maps_.size(); ++i) {
+    index_pending(i, pending_maps_[i], true);
+  }
+}
+
+void JobRun::append_pending(std::uint32_t m) {
+  // Each map is pending at most once, which keeps every position inside
+  // the index rows (maps_.size() bits wide).
+  RCMP_CHECK(pending_maps_.size() < maps_.size());
+  pending_maps_.push_back(m);
+  index_pending(pending_maps_.size() - 1, m, true);
+}
+
+void JobRun::remove_pending(std::size_t pos) {
+  const std::size_t last = pending_maps_.size() - 1;
+  index_pending(pos, pending_maps_[pos], false);
+  if (pos != last) {
+    index_pending(last, pending_maps_[last], false);
+    pending_maps_[pos] = pending_maps_[last];
+    index_pending(pos, pending_maps_[pos], true);
+  }
+  pending_maps_.pop_back();
 }
 
 void JobRun::assign_map(std::uint32_t m, cluster::NodeId n) {
@@ -621,19 +685,25 @@ void JobRun::register_map_output(std::uint32_t m) {
 }
 
 void JobRun::on_mapper_available(std::uint32_t m) {
+  // One lookup serves every reducer. An unusable output leaves every
+  // contribution waiting; a rerun or the source serving again makes
+  // them ready.
+  const MapOutput* out = serving_output(m);
+  if (out == nullptr) return;
   for (std::uint32_t r = 0; r < reduces_.size(); ++r) {
     ReduceTask& rt = reduces_[r];
     if (rt.state == ReduceState::kDone) continue;
     if (rt.contrib[m] != ContribState::kWaiting) continue;
-    const cluster::NodeId src = mark_contrib_ready(r, m);
-    // Only src's buffer grew. Every other serving source of a fetching
-    // reducer is below the threshold already: buffers grow only here
-    // (each growth is flushed on the spot) and in reset_reduce_task
-    // (the reducer then restarts with a forced flush), and a source
-    // that stops serving is cleared by halt_fetches_from. So checking
-    // src alone starts exactly the flow a scan of every node would.
-    if (src != cluster::kInvalidNode && rt.state == ReduceState::kFetching)
-      flush_source(r, src, /*force=*/false);
+    mark_contrib_ready(rt, m, *out);
+    // Only out->node's buffer grew. Every other serving source of a
+    // fetching reducer is below the threshold already: buffers grow
+    // only here (each growth is flushed on the spot) and in
+    // reset_reduce_task (the reducer then restarts with a forced
+    // flush), and a source that stops serving is cleared by
+    // halt_fetches_from. So checking out->node alone starts exactly the
+    // flow a scan of every node would.
+    if (rt.state == ReduceState::kFetching)
+      flush_source(r, out->node, /*force=*/false);
   }
 }
 
@@ -669,7 +739,7 @@ void JobRun::reset_map_task(std::uint32_t m) {
   t.state = MapState::kPending;
   t.node = cluster::kInvalidNode;
   t.read_src = cluster::kInvalidNode;
-  pending_maps_.push_back(m);
+  append_pending(m);
 }
 
 // ---------------------------------------------------------------------
@@ -703,16 +773,7 @@ void JobRun::speculation_check() {
     if (duplicates_.count(m) > 0) continue;
 
     // Find a free map slot on a different node.
-    cluster::NodeId target = cluster::kInvalidNode;
-    for (std::uint32_t step = 0; step < env_.cluster.size(); ++step) {
-      const cluster::NodeId n = (rr_cursor_ + step) % env_.cluster.size();
-      if (n != t.node && env_.cluster.compute_alive(n) &&
-          map_slot_free(n)) {
-        target = n;
-        rr_cursor_ = n + 1;
-        break;
-      }
-    }
+    const cluster::NodeId target = round_robin_slot(SlotKind::kMap, t.node);
     if (target == cluster::kInvalidNode) continue;
     launch_duplicate(m, target);
   }
@@ -874,16 +935,8 @@ void JobRun::speculate_reducers() {
       if (!env_.reduce_spec_gate(cand)) continue;
     }
 
-    cluster::NodeId target = cluster::kInvalidNode;
-    for (std::uint32_t step = 0; step < env_.cluster.size(); ++step) {
-      const cluster::NodeId n = (rr_cursor_ + step) % env_.cluster.size();
-      if (n != rt.node && env_.cluster.compute_alive(n) &&
-          reduce_slot_free(n)) {
-        target = n;
-        rr_cursor_ = n + 1;
-        break;
-      }
-    }
+    const cluster::NodeId target =
+        round_robin_slot(SlotKind::kReduce, rt.node);
     if (target == cluster::kInvalidNode) continue;
     launch_reduce_duplicate(r, target);
   }
@@ -1007,28 +1060,32 @@ const MapOutput* JobRun::output_of(std::uint32_t m) {
   return t.output;
 }
 
+double JobRun::contrib_bytes(const MapOutput& out,
+                             std::uint32_t partition) const {
+  const std::uint32_t split =
+      directive_.active ? directive_.split_factor : 1;
+  return out.per_reducer_bytes[partition] / split;
+}
+
 double JobRun::contrib_bytes(std::uint32_t r, std::uint32_t m) {
   const MapOutput* out = output_of(m);
   RCMP_CHECK_MSG(out != nullptr, "contribution from unregistered mapper");
-  const ReduceTask& rt = reduces_[r];
-  const std::uint32_t split =
-      directive_.active ? directive_.split_factor : 1;
-  return out->per_reducer_bytes[rt.partition] / split;
+  return contrib_bytes(*out, reduces_[r].partition);
 }
 
-cluster::NodeId JobRun::mark_contrib_ready(std::uint32_t r,
-                                           std::uint32_t m) {
-  ReduceTask& rt = reduces_[r];
-  RCMP_CHECK(rt.contrib[m] == ContribState::kWaiting);
+const MapOutput* JobRun::serving_output(std::uint32_t m) {
   const MapOutput* out = output_of(m);
-  if (out == nullptr || out->lost || !source_serving(out->node)) {
-    // Stays kWaiting; a rerun will make it ready again.
-    return cluster::kInvalidNode;
-  }
+  if (out == nullptr || out->lost || !source_serving(out->node))
+    return nullptr;
+  return out;
+}
+
+void JobRun::mark_contrib_ready(ReduceTask& rt, std::uint32_t m,
+                                const MapOutput& out) {
+  RCMP_CHECK(rt.contrib[m] == ContribState::kWaiting);
   rt.contrib[m] = ContribState::kReady;
-  rt.ready_bytes[out->node] += contrib_bytes(r, m);
-  rt.ready[out->node].push_back(m);
-  return out->node;
+  rt.ready_bytes[out.node] += contrib_bytes(out, rt.partition);
+  rt.ready[out.node].push_back(m);
 }
 
 void JobRun::flush_source(std::uint32_t r, cluster::NodeId src,
@@ -1361,9 +1418,10 @@ void JobRun::reset_reduce_task(std::uint32_t r) {
   // Re-buffer contributions from mappers whose outputs are available.
   for (std::uint32_t m = 0; m < maps_.size(); ++m) {
     const MapTask& t = maps_[m];
-    if (t.state == MapState::kDone || t.state == MapState::kReused) {
-      mark_contrib_ready(r, m);
-    }
+    if (t.state != MapState::kDone && t.state != MapState::kReused)
+      continue;
+    if (const MapOutput* out = serving_output(m))
+      mark_contrib_ready(rt, m, *out);
   }
   if (!charge_attempt(rt.attempts, rt.not_before))
     exhausted_retry_budget_ = true;
@@ -1487,10 +1545,7 @@ JobRun::FailureOutcome JobRun::on_detected_failure(cluster::NodeId n) {
     MapTask& t = maps_[m];
     if (t.state != MapState::kDone && t.state != MapState::kReused)
       continue;
-    const MapOutput* out = output_of(m);
-    const bool output_ok =
-        out != nullptr && !out->lost && source_serving(out->node);
-    if (output_ok) continue;
+    if (serving_output(m) != nullptr) continue;
     bool needed = false;
     for (const auto& rt : reduces_) {
       if (rt.state == ReduceState::kDone) continue;
@@ -1698,12 +1753,15 @@ void JobRun::on_node_reconciled(cluster::NodeId n) {
       t.spurious = false;  // replacement already committed; keep it
       continue;
     }
-    const MapOutput* out = output_of(m);
-    if (out == nullptr || out->lost || !source_serving(out->node)) continue;
+    const MapOutput* out = serving_output(m);
+    if (out == nullptr) continue;
     cancel_duplicate(m);
     if (t.state == MapState::kPending) {
       auto it = std::find(pending_maps_.begin(), pending_maps_.end(), m);
-      if (it != pending_maps_.end()) pending_maps_.erase(it);
+      if (it != pending_maps_.end()) {
+        pending_maps_.erase(it);
+        local_pending_.release();  // positions shifted: rebuild lazily
+      }
     } else if (t.state != MapState::kFrozen) {  // frozen holds no slot
       cancel_task_work(t);
       put_map_slot(t.node);
@@ -1902,6 +1960,7 @@ void JobRun::teardown_all_work() {
   }
   for (auto& [token, ff] : active_fetches_) env_.net.cancel_flow(ff.flow);
   active_fetches_.clear();
+  local_pending_.release();
 }
 
 void JobRun::discard_partial_results() {

@@ -27,6 +27,7 @@
 
 #include "cluster/cluster.hpp"
 #include "cluster/detector.hpp"
+#include "common/bit_rows.hpp"
 #include "common/rng.hpp"
 #include "dfs/namenode.hpp"
 #include "mapred/job.hpp"
@@ -308,6 +309,23 @@ class JobRun {
   void schedule_reduces();
   void assign_map(std::uint32_t m, cluster::NodeId n);
   void assign_reduce(std::uint32_t r, cluster::NodeId n);
+  /// The first node, round-robin from rr_cursor_, other than `exclude`
+  /// with a `k` slot this job may take now; advances the cursor past
+  /// it. kInvalidNode when there is none.
+  cluster::NodeId round_robin_slot(
+      SlotKind k, cluster::NodeId exclude = cluster::kInvalidNode);
+
+  // --- pending maps and their locality index ---------------------------
+  /// Set (present) or clear pending position `pos`, holding map `m`, in
+  /// the index rows of m's replica nodes; no-op while the index is not
+  /// built.
+  void index_pending(std::size_t pos, std::uint32_t m, bool present);
+  /// Build the index over pending_maps_ unless it is built against the
+  /// DFS's current replica lists.
+  void sync_locality_index();
+  void append_pending(std::uint32_t m);
+  /// Swap-remove: the last pending map moves into `pos`.
+  void remove_pending(std::size_t pos);
 
   // --- map task state machine ----------------------------------------
   cluster::NodeId pick_read_source(
@@ -358,10 +376,14 @@ class JobRun {
   /// task's handle; the store is searched again only after an erase
   /// (or while nothing was found), so a dropped output is never read.
   const MapOutput* output_of(std::uint32_t m);
-  /// Buffer `m`'s contribution to reducer `r` at its output's node and
-  /// return that node; kInvalidNode (nothing buffered) when the output
-  /// is missing, lost or not served.
-  cluster::NodeId mark_contrib_ready(std::uint32_t r, std::uint32_t m);
+  /// Mapper `m`'s output if a reducer could fetch it now; nullptr when
+  /// it is missing, lost or not served (its contributions stay
+  /// waiting).
+  const MapOutput* serving_output(std::uint32_t m);
+  /// Buffer `m`'s contribution to `rt` at its (serving) output's node.
+  void mark_contrib_ready(ReduceTask& rt, std::uint32_t m,
+                          const MapOutput& out);
+  double contrib_bytes(const MapOutput& out, std::uint32_t partition) const;
   double contrib_bytes(std::uint32_t r, std::uint32_t m);
   /// Start one coalesced fetch of `r`'s buffer at `src`: any non-empty
   /// buffer when forced, otherwise only one at the flush threshold.
@@ -459,6 +481,14 @@ class JobRun {
   std::vector<ReduceTask> reduces_;
   std::vector<std::uint32_t> pending_maps_;
   std::vector<std::uint32_t> pending_reduces_;
+  /// Locality index: row n holds the pending_maps_ positions whose
+  /// block has a replica on node n. Edits of pending_maps_ keep it in
+  /// step; an order-preserving erase releases it, and it is rebuilt at
+  /// the next locality pass (as it is when the DFS replica lists moved).
+  /// Released once nothing is pending: finished runs are kept until the
+  /// chain ends.
+  BitRows local_pending_;
+  std::uint64_t local_replica_version_ = 0;
   std::uint32_t maps_remaining_ = 0;    // not yet done/reused
   std::uint32_t reduces_remaining_ = 0;
 

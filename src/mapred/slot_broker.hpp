@@ -16,7 +16,12 @@
 //     already forfeited every slot held there when the failure landed);
 //   - release_all() returns every slot the client still holds and
 //     clears its demand flags — the engine calls it from finish() and
-//     cancel(), where torn-down tasks can no longer release one by one.
+//     cancel(), where torn-down tasks can no longer release one by one;
+//   - next_free() lists the nodes with a physically free slot, in
+//     ascending order, so placement passes visit only those. A node it
+//     skips has no free slot, and may_acquire() answers false there
+//     without side effects (no denial is counted), so skipping it
+//     changes no decision.
 #pragma once
 
 #include <cstdint>
@@ -45,6 +50,11 @@ class SlotBroker {
   /// kind). Drives work-conserving backfill: an over-share chain is
   /// only denied while some hungry under-share chain exists.
   virtual void set_demand(SlotKind k, bool hungry) = 0;
+  /// The smallest node >= `from` with a physically free `k` slot, or
+  /// cluster::kInvalidNode. Whether this client may take it is still
+  /// may_acquire()'s call.
+  virtual cluster::NodeId next_free(cluster::NodeId from,
+                                    SlotKind k) const = 0;
 };
 
 }  // namespace rcmp::mapred

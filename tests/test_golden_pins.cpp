@@ -3,16 +3,24 @@
 // which draws the injector's seed), Scenario::run_chaos (the chaos
 // seed: random victims and map-output corruption), detector + journal +
 // kMasterCrash, the memory tier under the dynamic hybrid, and a
-// three-chain MultiScenario::run_chaos with random victims.
+// three-chain MultiScenario::run_chaos with random victims. Three more
+// scenes pin the map-placement paths that edit the pending-map list or
+// the replica lists under it: a disk loss while maps are pending, a
+// retry backoff that defers pending maps, and a false suspicion that
+// reconciles while its spurious re-execution is still pending.
 //
 // Each pin is the exact simulated outcome: makespan as a hex float,
 // job/replan/restart counts and the final output checksum. A drift
 // here means a seed is drawn in a different order, or an event lands in
-// a different place in the queue.
+// a different place in the queue. The placement scenes also pin the MD5
+// of the whole trace, so a changed task placement fails them even when
+// it leaves the makespan alone.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
+#include "common/md5.hpp"
 #include "fixtures.hpp"
 
 namespace rcmp {
@@ -145,6 +153,92 @@ TEST(GoldenPin, ThreeChainChaosWithRandomVictims) {
     SCOPED_TRACE(c);
     expect_pin(r[c], ms.final_output_checksum(c), pins[c]);
   }
+}
+
+/// A fault on a fixed victim, `delay` seconds after job `ordinal`
+/// starts. chaos_config()'s jobs bootstrap 15 s after they start and
+/// place their 32 maps over the next ~0.4 s, so a delay just past 15 s
+/// lands while maps are still pending. Job 1 reads the 4-way
+/// replicated input, so losing one replica does not stall its maps.
+FaultEvent fixed_victim(FaultMode mode, std::uint32_t ordinal,
+                        SimTime delay, cluster::NodeId node) {
+  FaultEvent ev = random_victim(mode, ordinal, delay);
+  ev.node = node;
+  return ev;
+}
+
+/// chaos_config() with a trace ring no scene here overflows.
+workloads::ScenarioConfig traced_chaos_config() {
+  auto cfg = chaos_config();
+  cfg.trace_capacity = 1 << 16;
+  return cfg;
+}
+
+/// Detector mode that suspects a silent node within half a second, so
+/// a suspicion lands inside the map phase that caused it.
+workloads::ScenarioConfig fast_detector_config() {
+  auto cfg = traced_chaos_config();
+  cfg.detector.enabled = true;
+  cfg.detector.heartbeat_interval = 0.1;
+  cfg.detector.suspicion_timeout = 0.3;
+  return cfg;
+}
+
+void expect_trace_md5(workloads::Scenario& s, const char* md5) {
+  EXPECT_EQ(s.obs().tracer.dropped(), 0u);
+  EXPECT_EQ(Md5::to_hex(Md5::hash(s.obs().tracer.export_jsonl())), md5);
+}
+
+TEST(GoldenPin, DiskLossShrinksReplicasOfPendingMaps) {
+  // Node 3's drive is swapped while 24 of job 1's 32 maps are pending.
+  // Node 3 keeps computing and frees its slot again, but the pending
+  // blocks it held replicas of no longer count as local to it.
+  workloads::Scenario s(traced_chaos_config());
+  FaultSchedule schedule;
+  schedule.events.push_back(fixed_victim(FaultMode::kDisk, 1, 15.1, 3));
+  const auto r = s.run_chaos(strat(Strategy::kRcmpSplit), schedule);
+  EXPECT_EQ(s.chaos()->counts().injected(), 1u);
+  expect_pin(r, s.final_output_checksum(),
+             {0x1.394b306db63dcp+6, 5, 0, 0, kChainSum});
+  expect_trace_md5(s, "e6d8e18fc8d4d00e659883627f32dbf1");
+}
+
+TEST(GoldenPin, RetryBackoffDefersPendingMaps) {
+  // Node 3 loses its heartbeats for 4 s, 20 ms into job 1's map phase.
+  // Once suspected, its running map fails and its finished maps are
+  // re-queued, each under a jittered retry backoff: placement passes
+  // set them aside while the job's other maps are placed, and as the
+  // backoffs expire out of list order a pass moves maps past a
+  // still-deferred one.
+  auto cfg = fast_detector_config();
+  cfg.engine.retry_backoff_jitter = 0.5;
+  workloads::Scenario s(cfg);
+  FaultSchedule schedule;
+  FaultEvent ev = fixed_victim(FaultMode::kHeartbeatLoss, 1, 15.02, 3);
+  ev.downtime = 4.0;
+  schedule.events.push_back(ev);
+  const auto r = s.run_chaos(strat(Strategy::kRcmpSplit), schedule);
+  expect_pin(r, s.final_output_checksum(),
+             {0x1.5070b71722d8fp+6, 5, 0, 0, kChainSum});
+  expect_trace_md5(s, "b5df3e12010c4daf7718216200fe1959");
+}
+
+TEST(GoldenPin, FalseSuspicionReconcilesPendingReexecution) {
+  // Node 5 loses its heartbeats for one second. Its finished maps are
+  // re-queued as spurious re-executions under a retry backoff; the node
+  // reconciles before they run, so they leave the middle of the pending
+  // list and readopt their persisted outputs.
+  workloads::Scenario s(fast_detector_config());
+  FaultSchedule schedule;
+  FaultEvent ev = fixed_victim(FaultMode::kHeartbeatLoss, 1, 15.02, 5);
+  ev.downtime = 1.0;
+  schedule.events.push_back(ev);
+  const auto r = s.run_chaos(strat(Strategy::kRcmpSplit), schedule);
+  ASSERT_NE(s.detector(), nullptr);
+  EXPECT_GE(s.detector()->reconciliations(), 1u);
+  expect_pin(r, s.final_output_checksum(),
+             {0x1.48dee8b7dddf9p+6, 5, 0, 0, kChainSum});
+  expect_trace_md5(s, "7af4a4286132006d151ef222591b7e40");
 }
 
 }  // namespace

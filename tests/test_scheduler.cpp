@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "fixtures.hpp"
 #include "mapred/map_output_store.hpp"
 #include "obs/audit.hpp"
@@ -17,6 +18,7 @@
 namespace rcmp {
 namespace {
 
+using namespace rcmp::literals;
 using core::Strategy;
 using mapred::SlotKind;
 using testfx::multi_config;
@@ -159,6 +161,114 @@ TEST(Scheduler, WeightedFairSharingFavorsHeavyChain) {
   EXPECT_GT(ms.scheduler().total_denials(), 0u);
   EXPECT_EQ(ms.obs().metrics.counter("sched.denials"),
             ms.scheduler().total_denials());
+}
+
+TEST(Scheduler, OverShareChainDenialsArePinned) {
+  // Chain 0 starts alone and backfills every map slot; chain 1's first
+  // job bootstraps 0.3 s later, so chain 0 runs past its half share and
+  // is denied at the margin while chain 1 is hungry. The placement
+  // passes skip nodes without a free slot; since may_acquire counts a
+  // denial only on a node that has one, the counts are unchanged.
+  auto cfg = multi_config(/*chains=*/2, /*nodes=*/6, /*chain_length=*/3,
+                          /*records_per_node=*/128);
+  cfg.submit_at = {0.0, 0.3};
+  MultiScenario ms(cfg);
+  const auto r = ms.run(strat(Strategy::kRcmpSplit));
+  ASSERT_TRUE(r[0].completed);
+  ASSERT_TRUE(r[1].completed);
+  EXPECT_EQ(ms.scheduler().peak_in_use(0, SlotKind::kMap),
+            ms.scheduler().alive_slots(SlotKind::kMap));
+  EXPECT_EQ(ms.scheduler().total_denials(), 30u);
+  EXPECT_EQ(ms.scheduler().grants(0), 94u);
+  EXPECT_EQ(ms.scheduler().grants(1), 95u);
+}
+
+TEST(Scheduler, NextFreeMatchesBruteForceScan) {
+  // 150 nodes, so each kind's free-node set spans three 64-bit words
+  // with a partial last one. Random acquires, releases, release_alls,
+  // compute losses, kills and rejoins from two chains; after every step
+  // next_free(from, k) must equal a scan of the inventory for every
+  // `from` (including one past the last node) and both kinds.
+  constexpr std::uint32_t kNodes = 150;
+  testfx::SimFixture f;
+  auto spec = testfx::spec_of(kNodes);
+  spec.map_slots = 2;
+  spec.reduce_slots = 1;
+  cluster::Cluster cluster(f.sim, f.net, spec);
+  dfs::NameNode dfs(cluster, 64_MiB, 1);
+  core::ChainScheduler sched(f.sim, cluster, dfs, nullptr);
+  mapred::MapOutputStore store_a;
+  mapred::MapOutputStore store_b;
+  const std::array<mapred::SlotBroker*, 2> brokers = {
+      &sched.broker(sched.add_chain(1.0, 1, &store_a)),
+      &sched.broker(sched.add_chain(1.0, 1, &store_b))};
+
+  auto expect_matches_scan = [&](int step) {
+    for (int k = 0; k < 2; ++k) {
+      const auto kind = static_cast<SlotKind>(k);
+      cluster::NodeId expect = cluster::kInvalidNode;
+      for (cluster::NodeId from = kNodes + 1; from-- > 0;) {
+        if (from < kNodes && sched.free_slots(from, kind) > 0) expect = from;
+        ASSERT_EQ(sched.next_free(from, kind), expect)
+            << "step " << step << " kind " << k << " from " << from;
+        ASSERT_EQ(brokers[0]->next_free(from, kind), expect);
+      }
+    }
+  };
+
+  Rng rng(20261017);
+  std::uint32_t acquires = 0;
+  std::uint32_t downs = 0;
+  std::uint32_t ups = 0;
+  std::uint32_t first_word_empty = 0;  // steps with no free slot below 64
+  expect_matches_scan(-1);
+  for (int step = 0; step < 4000; ++step) {
+    // Alternate filling and draining phases, so the sets pass through
+    // nearly full and nearly empty words.
+    const bool filling = (step / 500) % 2 == 0;
+    const auto n = static_cast<cluster::NodeId>(rng.below(kNodes));
+    const auto kind = static_cast<SlotKind>(rng.below(2));
+    mapred::SlotBroker& broker = *brokers[rng.below(2)];
+    const std::uint64_t op = rng.below(40);
+    if (op < (filling ? 32u : 8u)) {
+      // The first free slot at or after n (wrapping): fills the sets
+      // fast enough to empty whole words.
+      cluster::NodeId target = cluster::kInvalidNode;
+      for (cluster::NodeId i = 0; i < kNodes; ++i) {
+        const cluster::NodeId cand = (n + i) % kNodes;
+        if (sched.free_slots(cand, kind) > 0) {
+          target = cand;
+          break;
+        }
+      }
+      if (target != cluster::kInvalidNode) {
+        broker.acquire(target, kind);
+        ++acquires;
+      }
+    } else if (op < 36) {
+      broker.release(n, kind);
+    } else if (op == 36 && !filling) {
+      broker.release_all();
+    } else if (op == 37 && cluster.compute_alive(n)) {
+      cluster.fail_compute(n);
+      ++downs;
+    } else if (op == 38 && cluster.compute_alive(n)) {
+      cluster.kill(n);
+      ++downs;
+    } else if (op == 39 && !cluster.compute_alive(n)) {
+      cluster.recover(n);
+      ++ups;
+    }
+    expect_matches_scan(step);
+    if (HasFatalFailure()) return;
+    const cluster::NodeId first = sched.next_free(0, kind);
+    if (first == cluster::kInvalidNode || first >= 64) ++first_word_empty;
+  }
+  EXPECT_GT(acquires, 1000u);
+  EXPECT_GT(downs, 50u);
+  EXPECT_GT(ups, 20u);
+  EXPECT_GT(first_word_empty, 100u);
+  f.sim.run();  // drain the coalesced pokes (no chain has a kick)
 }
 
 TEST(Scheduler, BackfillExceedsFairShareWhenPeerIdle) {
