@@ -28,7 +28,6 @@
 // record runs >2x slower than its baseline wall time).
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -152,18 +151,8 @@ BenchRecord crash_point(std::uint32_t depth, const char* label,
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string json_out;
-  std::string baseline;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--json_out=", 11) == 0) {
-      json_out = argv[i] + 11;
-    } else if (std::strncmp(argv[i], "--baseline=", 11) == 0) {
-      baseline = argv[i] + 11;
-    } else {
-      std::fprintf(stderr, "unknown argument: %s\n", argv[i]);
-      return 1;
-    }
-  }
+  rcmp::bench::GateArgs gate;
+  if (!rcmp::bench::parse_gate_args(argc, argv, gate)) return 1;
 
   rcmp::bench::print_figure_header(
       "BENCH recovery",
@@ -217,21 +206,5 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (!json_out.empty() &&
-      !rcmp::bench::write_bench_json(json_out, records)) {
-    std::fprintf(stderr, "failed to write %s\n", json_out.c_str());
-    return 1;
-  }
-  if (!baseline.empty()) {
-    const auto base = rcmp::bench::read_bench_json(baseline);
-    if (base.empty()) {
-      std::fprintf(stderr, "baseline %s missing or empty\n",
-                   baseline.c_str());
-      return 1;
-    }
-    if (rcmp::bench::count_regressions(records, base, 2.0) > 0) {
-      return 1;
-    }
-  }
-  return 0;
+  return rcmp::bench::finish_gate(gate, records);
 }

@@ -10,6 +10,7 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <string>
 #include <thread>
@@ -135,6 +136,54 @@ inline int count_regressions(
     }
   }
   return regressions;
+}
+
+/// The gate flags of the BENCH_* binaries: --json_out=PATH writes the
+/// records (write_bench_json), --baseline=PATH fails the run when any
+/// record is more than 2x slower than its entry there.
+struct GateArgs {
+  std::string json_out;
+  std::string baseline;
+};
+
+/// Take --json_out= and --baseline= out of argv. Every other argument
+/// is appended to `rest` (after argv[0]) when `rest` is given, and is
+/// rejected otherwise: prints "unknown argument" and returns false.
+inline bool parse_gate_args(int argc, char** argv, GateArgs& args,
+                            std::vector<char*>* rest = nullptr) {
+  if (rest != nullptr && argc > 0) rest->push_back(argv[0]);
+  for (int i = 1; i < argc; ++i) {
+    if (std::strncmp(argv[i], "--json_out=", 11) == 0) {
+      args.json_out = argv[i] + 11;
+    } else if (std::strncmp(argv[i], "--baseline=", 11) == 0) {
+      args.baseline = argv[i] + 11;
+    } else if (rest != nullptr) {
+      rest->push_back(argv[i]);
+    } else {
+      std::fprintf(stderr, "unknown argument: %s\n", argv[i]);
+      return false;
+    }
+  }
+  return true;
+}
+
+/// Write the records and apply the baseline gate per `args`; returns
+/// the process exit code: 1 when the JSON cannot be written, the
+/// baseline is missing or empty, or any record regressed past 2x.
+inline int finish_gate(const GateArgs& args,
+                       const std::vector<BenchRecord>& records) {
+  if (!args.json_out.empty() && !write_bench_json(args.json_out, records)) {
+    std::fprintf(stderr, "failed to write %s\n", args.json_out.c_str());
+    return 1;
+  }
+  if (args.baseline.empty()) return 0;
+  const auto base = read_bench_json(args.baseline);
+  if (base.empty()) {
+    std::fprintf(stderr, "baseline %s missing or empty\n",
+                 args.baseline.c_str());
+    return 1;
+  }
+  return count_regressions(records, base, 2.0) > 0 ? 1 : 0;
 }
 
 /// Collect all runs of one scenario execution (for profiles/speed-ups).

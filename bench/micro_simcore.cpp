@@ -10,7 +10,6 @@
 // it as a smoke job on every push. See EXPERIMENTS.md.
 #include <benchmark/benchmark.h>
 
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -276,18 +275,10 @@ class CaptureReporter : public benchmark::ConsoleReporter {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string json_out;
-  std::string baseline;
+  // Flags other than the gate's pass through to Google Benchmark.
+  rcmp::bench::GateArgs gate;
   std::vector<char*> passthrough;
-  for (int i = 0; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--json_out=", 11) == 0) {
-      json_out = argv[i] + 11;
-    } else if (std::strncmp(argv[i], "--baseline=", 11) == 0) {
-      baseline = argv[i] + 11;
-    } else {
-      passthrough.push_back(argv[i]);
-    }
-  }
+  rcmp::bench::parse_gate_args(argc, argv, gate, &passthrough);
   int pass_argc = static_cast<int>(passthrough.size());
   benchmark::Initialize(&pass_argc, passthrough.data());
   if (benchmark::ReportUnrecognizedArguments(pass_argc,
@@ -298,22 +289,5 @@ int main(int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
 
-  if (!json_out.empty() &&
-      !rcmp::bench::write_bench_json(json_out, reporter.records())) {
-    std::fprintf(stderr, "failed to write %s\n", json_out.c_str());
-    return 1;
-  }
-  if (!baseline.empty()) {
-    const auto base = rcmp::bench::read_bench_json(baseline);
-    if (base.empty()) {
-      std::fprintf(stderr, "baseline %s missing or empty\n",
-                   baseline.c_str());
-      return 1;
-    }
-    if (rcmp::bench::count_regressions(reporter.records(), base, 2.0) >
-        0) {
-      return 1;
-    }
-  }
-  return 0;
+  return rcmp::bench::finish_gate(gate, reporter.records());
 }

@@ -35,8 +35,8 @@
 // failure statistics: `record_task_failure(n)` counts every task
 // attempt charged to node n, and a node crossing
 // `quarantine_threshold` is quarantined — it stops receiving task
-// slots (the engine and the multi-tenant ChainScheduler both consult
-// `schedulable()`) but keeps serving its persisted data.
+// slots (the ChainScheduler's may_acquire, every engine's one slot
+// gate, consults `schedulable()`) but keeps serving its persisted data.
 //
 // Determinism: all state changes ride the simulation event queue and
 // callbacks fire in registration order, so same-seed runs are

@@ -40,7 +40,7 @@ enum class JournalRecordType : std::uint8_t {
   kChainAdmit = 0,        // chain admitted; c = chain length
   kJobCommit = 1,         // job boundary: a = logical, b = file, c = ordinal
   kReplicationPoint = 2,  // a = logical, b = replication factor
-  kEviction = 3,          // storage-budget eviction: a = logical, c = bytes
+  kEviction = 3,          // a = logical (0xffffffff: cache), c = bytes
   kCachePublish = 4,      // a = position, b = file, c = fingerprint
   kCacheLease = 5,        // a = position, b = file, c = fingerprint
   kCacheRelease = 6,      // a = position, b = file, c = fingerprint
@@ -53,8 +53,9 @@ enum class JournalRecordType : std::uint8_t {
 const char* journal_record_type_name(JournalRecordType t);
 
 /// Fixed-size POD record. The a/b/c operands are record-type-specific
-/// (see the enum); `chain` is the emitting middleware's chain tag (0 for
-/// a lone chain) so one shared journal serves many tenants.
+/// (see the enum); `chain` is the chain tag (0 for a lone chain) of the
+/// tenant the decision concerns — the appending middleware's own, or an
+/// eviction victim's — so one shared journal serves many tenants.
 struct JournalRecord {
   double time = 0.0;      // simulated seconds at append
   std::uint64_t lsn = 0;  // log sequence number, dense from 0

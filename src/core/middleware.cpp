@@ -363,7 +363,7 @@ PolicyContext Middleware::policy_context(std::uint32_t next_logical,
     ctx.worst_node_task_failures = d.max_task_failures();
   }
   ctx.storage_used = tenant_.scheduler->storage_total();
-  ctx.storage_budget = strategy_.storage_budget;
+  ctx.storage_budget = tenant_.scheduler->storage_budget();
   return ctx;
 }
 
@@ -444,7 +444,8 @@ void Middleware::apply_policy_replication(const PlannedSubmission& sub) {
   if (env_.obs != nullptr) {
     // The auditor cross-checks budget legality (and throws on an
     // over-budget decision) before the point is traced.
-    env_.obs->check_policy_replication(used, strategy_.storage_budget);
+    env_.obs->check_policy_replication(used,
+                                       tenant_.scheduler->storage_budget());
     env_.obs->metrics.add(tag_ + "policy.pre_replications");
     env_.obs->tracer.emit(env_.sim.now(),
                           obs::EventType::kReplicationPoint, 1,
@@ -703,7 +704,7 @@ void Middleware::on_run_done(mapred::JobRun& run) {
       }
     }
     sample_storage();
-    enforce_storage_budget();
+    tenant_.scheduler->enforce_storage(tenant_.chain_id);
     if (strategy_.is_rcmp() && strategy_.reclaim_after_replication &&
         repl > 1) {
       reclaim_storage(res.logical_id);
@@ -1111,60 +1112,6 @@ void Middleware::note_spill(cluster::NodeId n, Bytes bytes) {
                         static_cast<double>(bytes), chain_tag());
 }
 
-void Middleware::enforce_storage_budget() {
-  // Under a shared budget the scheduler arbitrates across chains
-  // (weighted shares, cross-chain victims); the per-chain budget below
-  // still applies to this chain's own store when configured.
-  tenant_.scheduler->enforce_storage();
-  if (strategy_.storage_budget == 0) return;
-  // Evict persisted map outputs starting with the oldest jobs, wave by
-  // wave (the paper's proposed eviction granularity), only as much as
-  // the budget requires. Recomputation stays correct — evicted outputs
-  // just mean more mappers re-run.
-  for (std::uint32_t l = 0; l < chain_.jobs.size(); ++l) {
-    const Bytes used =
-        env_.dfs.total_used() + env_.map_outputs.total_used();
-    if (used <= strategy_.storage_budget) break;
-    if (env_.map_outputs.used_for_job(l) == 0) continue;
-    // Never evict a pinned job — the live one, whose reducers still
-    // shuffle its outputs, or one on the recompute frontier of an
-    // in-flight replan, whose outputs are the copies the replan counts
-    // on. The auditor cross-checks every victim choice.
-    if (env_.map_outputs.job_pinned(l)) continue;
-    if (env_.obs != nullptr) {
-      env_.obs->check_eviction(env_.map_outputs.job_pinned(l), l);
-    }
-    const Bytes freed = env_.map_outputs.evict_upto(
-        l, used - strategy_.storage_budget);
-    if (freed > 0) {
-      ++result_.evicted_jobs;
-      journal_append(JournalRecordType::kEviction, l, 0, freed);
-      if (env_.obs != nullptr) {
-        env_.obs->tracer.emit(env_.sim.now(), obs::EventType::kEviction, 0,
-                              obs::kNoField, l, obs::kNoField,
-                              static_cast<double>(freed), chain_tag());
-        env_.obs->metrics.add("storage.evicted_bytes", freed);
-      }
-      RCMP_INFO() << "middleware: evicted " << freed
-                  << " bytes of persisted map outputs of job " << l
-                  << " (storage budget)";
-    }
-  }
-  // Still over budget after map-output eviction: fall through to the
-  // result cache — delete the backing files of finished tenants'
-  // unleased entries, oldest first. Leased entries and final outputs
-  // stay protected (sole-surviving-copy rule).
-  if (cache_enabled()) {
-    while (env_.dfs.total_used() + env_.map_outputs.total_used() >
-           strategy_.storage_budget) {
-      const Bytes freed = tenant_.result_cache->evict_one();
-      if (freed == 0) break;
-      // a = sentinel: the victim was a cache entry, not this chain's job.
-      journal_append(JournalRecordType::kEviction, 0xffffffffu, 0, freed);
-    }
-  }
-}
-
 void Middleware::sample_storage() {
   // The gauge is shared across chains, so it must reflect the shared
   // ground truth (DFS + every chain's store) or the auditor's
@@ -1207,8 +1154,6 @@ void Middleware::publish_metrics() {
               static_cast<double>(result_.restarts));
   m.set_gauge(tag_ + "chain.replication_points",
               static_cast<double>(result_.replication_points));
-  m.set_gauge(tag_ + "chain.evicted_jobs",
-              static_cast<double>(result_.evicted_jobs));
   m.set_gauge(tag_ + "chain.peak_storage_bytes",
               static_cast<double>(result_.peak_storage));
   if (cache_enabled()) {

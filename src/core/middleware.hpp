@@ -126,8 +126,6 @@ struct ChainResult {
   /// Jobs whose outputs were made replication points by the dynamic
   /// hybrid policy.
   std::uint32_t replication_points = 0;
-  /// Jobs whose persisted map outputs were evicted for storage budget.
-  std::uint32_t evicted_jobs = 0;
   /// Every run, in start (ordinal) order, including cancelled ones.
   std::vector<mapred::JobResult> runs;
   /// Max bytes of DFS blocks + persisted map outputs observed at job
@@ -226,7 +224,6 @@ class Middleware {
   void sample_storage();
   /// Mirror ChainResult into the metrics registry (chain completion).
   void publish_metrics();
-  void enforce_storage_budget();
   /// Dynamic hybrid: is it time for the next replication point
   /// (Young's optimal checkpoint interval)?
   bool should_replicate_now() const;

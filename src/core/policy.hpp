@@ -95,7 +95,7 @@ struct PolicyContext {
   /// Highest per-node failed-attempt count (ATLAS attempt history).
   std::uint32_t worst_node_task_failures = 0;
 
-  // Storage-budget state.
+  // Storage-budget state (the scheduler's budget and ground truth).
   Bytes storage_used = 0;
   Bytes storage_budget = 0;  // 0 = unlimited
 

@@ -1,8 +1,11 @@
 #include "core/scheduler.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/error.hpp"
+#include "common/log.hpp"
+#include "core/journal.hpp"
 #include "core/result_cache.hpp"
 
 namespace rcmp::core {
@@ -38,14 +41,12 @@ ChainScheduler::ChainScheduler(sim::Simulation& sim,
 }
 
 std::uint32_t ChainScheduler::add_chain(double weight,
-                                        std::uint32_t num_jobs,
                                         mapred::MapOutputStore* store) {
   RCMP_CHECK_MSG(weight > 0.0, "chain weight must be positive");
   const auto id = static_cast<std::uint32_t>(chains_.size());
   chains_.emplace_back();
   ChainState& cs = chains_.back();
   cs.weight = weight;
-  cs.num_jobs = num_jobs;
   cs.store = store;
   cs.client = std::make_unique<Client>(this, id);
   cs.held.assign(cluster_.size(), {0, 0});
@@ -153,6 +154,8 @@ bool ChainScheduler::may_acquire(std::uint32_t c, cluster::NodeId n,
   const int k = static_cast<int>(kind);
   const ChainState& cs = chains_[c];
   if (!cs.admitted) return false;
+  // Suspected and quarantined nodes receive no new task placements;
+  // this single gate covers every placement site of every engine.
   if (detector_ != nullptr && !detector_->schedulable(n)) return false;
   if (free_[n][k] == 0) return false;
   if (can_grow(cs, k)) return true;
@@ -325,13 +328,15 @@ Bytes ChainScheduler::storage_total() const {
   return total;
 }
 
-void ChainScheduler::enforce_storage() {
+void ChainScheduler::enforce_storage(std::uint32_t caller) {
   if (cfg_.storage_budget == 0) return;
-  // Evict until within budget. Each round picks the chain most over its
-  // weighted share of the map-output allowance (budget minus the DFS
-  // ground truth, which eviction cannot reclaim) and frees that chain's
-  // oldest surviving job first — the paper's eviction granularity,
-  // applied cross-tenant.
+  // Evict until within budget. Each round ranks the chains by how far
+  // they are over their weighted share of the map-output allowance
+  // (budget minus the DFS ground truth, which eviction cannot reclaim)
+  // and frees the oldest evictable job of the first chain that has one
+  // — the paper's eviction granularity, applied cross-tenant. Over one
+  // chain this is the paper's per-chain loop, job for job.
+  std::vector<std::pair<double, std::uint32_t>> ranked;
   while (storage_total() > cfg_.storage_budget) {
     const Bytes dfs_used = dfs_.total_used();
     const Bytes allowance =
@@ -340,8 +345,7 @@ void ChainScheduler::enforce_storage() {
     for (const ChainState& cs : chains_) {
       if (cs.store != nullptr) total_weight += cs.weight;
     }
-    std::uint32_t victim = obs::kNoField;
-    double worst_excess = 0.0;
+    ranked.clear();
     for (std::uint32_t i = 0; i < chains_.size(); ++i) {
       const ChainState& cs = chains_[i];
       if (cs.store == nullptr) continue;
@@ -351,52 +355,67 @@ void ChainScheduler::enforce_storage() {
           total_weight > 0.0
               ? cs.weight / total_weight * static_cast<double>(allowance)
               : 0.0;
-      const double excess = static_cast<double>(used) - share;
-      if (victim == obs::kNoField || excess > worst_excess) {
-        victim = i;
-        worst_excess = excess;
-      }
+      ranked.emplace_back(static_cast<double>(used) - share, i);
     }
-    if (victim == obs::kNoField) {
-      // No chain has evictable map outputs left: fall through to the
-      // result cache (finished tenants' unleased entries, oldest
-      // first), then concede.
-      if (result_cache_ == nullptr || result_cache_->evict_one() == 0)
-        return;
-      continue;
-    }
-    ChainState& cs = chains_[victim];
+    // Most over its share first; equal excess keeps chain order.
+    std::stable_sort(ranked.begin(), ranked.end(),
+                     [](const auto& a, const auto& b) {
+                       return a.first > b.first;
+                     });
     const Bytes need = storage_total() - cfg_.storage_budget;
     Bytes freed = 0;
-    std::uint32_t job = obs::kNoField;
-    for (std::uint32_t j = 0; j < cs.num_jobs && freed == 0; ++j) {
-      if (cs.store->used_for_job(j) == 0) continue;
-      // A pinned job is off limits: the chain's live job (its reducers
-      // still shuffle those outputs) or one on the recompute frontier
-      // of an in-flight replan (the copies that replan counts on). The
-      // auditor cross-checks every victim choice.
-      if (cs.store->job_pinned(j)) continue;
-      if (obs_ != nullptr) obs_->check_eviction(cs.store->job_pinned(j), j);
-      freed = cs.store->evict_upto(j, need);
-      job = j;
+    for (const auto& entry : ranked) {
+      // A chain whose every non-empty job is pinned or memory-resident
+      // frees nothing; the next one over its share may still.
+      freed = evict_oldest(entry.second, need);
+      if (freed > 0) break;
     }
-    if (freed == 0) {
-      // Victim's ledger was all pinned or empty: the result cache is
-      // the remaining lever before conceding.
-      if (result_cache_ == nullptr || result_cache_->evict_one() == 0)
-        return;
-      continue;
-    }
+    if (freed > 0) continue;
+    // No chain can free map outputs: fall through to the result cache
+    // (finished tenants' unleased entries, oldest first), then concede.
+    // Leased entries and final outputs stay protected.
+    freed = result_cache_ != nullptr ? result_cache_->evict_one() : 0;
+    if (freed == 0) return;
+    // a = sentinel: the victim was a cache entry, not a chain's job.
+    journal_eviction(chain_tag(caller), 0xffffffffu, freed);
+  }
+}
+
+Bytes ChainScheduler::evict_oldest(std::uint32_t c, Bytes need) {
+  ChainState& cs = chains_[c];
+  for (std::uint32_t j = 0; j < cs.store->job_span(); ++j) {
+    if (cs.store->used_for_job(j) == 0) continue;
+    // A pinned job is off limits: the chain's live job (its reducers
+    // still shuffle those outputs) or one on the recompute frontier of
+    // an in-flight replan (the copies that replan counts on). The
+    // auditor cross-checks every victim choice.
+    if (cs.store->job_pinned(j)) continue;
+    if (obs_ != nullptr) obs_->check_eviction(cs.store->job_pinned(j), j);
+    const Bytes freed = cs.store->evict_upto(j, need);
+    if (freed == 0) continue;  // only memory-tier outputs left
     ++cs.evictions;
     evicted_bytes_ += freed;
+    journal_eviction(chain_tag(c), j, freed);
     if (obs_ != nullptr) {
       obs_->metrics.add("sched.evicted_bytes", static_cast<double>(freed));
-      obs_->metrics.add(chain_metric(victim, "evictions"));
+      obs_->metrics.add(chain_metric(c, "evictions"));
       obs_->tracer.emit(sim_.now(), obs::EventType::kEviction, 0,
-                        obs::kNoField, job, obs::kNoField,
-                        static_cast<double>(freed), chain_tag(victim));
+                        obs::kNoField, j, obs::kNoField,
+                        static_cast<double>(freed), chain_tag(c));
     }
+    RCMP_INFO() << "scheduler: evicted " << freed
+                << " bytes of persisted map outputs of chain " << c
+                << " job " << j << " (storage budget)";
+    return freed;
   }
+  return 0;
+}
+
+void ChainScheduler::journal_eviction(std::uint16_t tag, std::uint32_t job,
+                                      Bytes freed) {
+  if (journal_ == nullptr) return;
+  journal_->append(JournalRecordType::kEviction, tag, job, 0, freed,
+                   sim_.now());
 }
 
 // --- introspection ----------------------------------------------------

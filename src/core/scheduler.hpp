@@ -23,11 +23,13 @@
 //   Admission — at most `max_concurrent` chains run at once; later
 //   submissions queue FIFO and start as predecessors finish.
 //
-//   Storage — one shared budget across the DFS and every chain's
-//   persisted-map-output store. When the budget is exceeded the
-//   scheduler evicts from the chain most over its weighted share of the
-//   map-output allowance, oldest job first (the paper's eviction
-//   granularity). Eviction is always Fig. 5-safe: evicted outputs are
+//   Storage — one budget across the DFS and every chain's
+//   persisted-map-output store; a lone chain's budget is this budget
+//   over one chain. When it is exceeded the scheduler evicts the oldest
+//   evictable job (the paper's eviction granularity) of the chain most
+//   over its weighted share of the map-output allowance, trying the
+//   next chain when that one frees nothing, and journals every
+//   eviction. Eviction is always Fig. 5-safe: evicted outputs are
 //   simply recomputed, and reuse legality stays enforced at read time
 //   per chain.
 //
@@ -69,6 +71,7 @@
 
 namespace rcmp::core {
 
+class DecisionJournal;
 class ResultCache;
 
 class ChainScheduler {
@@ -76,8 +79,8 @@ class ChainScheduler {
   struct Config {
     /// Chains running at once; 0 = unlimited.
     std::uint32_t max_concurrent = 0;
-    /// Shared budget over DFS blocks + every chain's persisted map
-    /// outputs; 0 disables cross-chain eviction.
+    /// Budget over DFS blocks + every chain's persisted map outputs;
+    /// 0 = unlimited (no eviction).
     Bytes storage_budget = 0;
   };
 
@@ -93,11 +96,9 @@ class ChainScheduler {
 
   /// Register a chain. Every chain is registered before the first
   /// middleware is constructed (the tag rule depends on the count).
-  /// `store` is the chain's persisted-map-output store, `num_jobs`
-  /// bounds the oldest-first eviction scan. Returns the dense 0-based
-  /// chain id.
-  std::uint32_t add_chain(double weight, std::uint32_t num_jobs,
-                          mapred::MapOutputStore* store);
+  /// `store` is the chain's persisted-map-output store, the one storage
+  /// eviction frees. Returns the dense 0-based chain id.
+  std::uint32_t add_chain(double weight, mapred::MapOutputStore* store);
 
   /// Trace tag of `chain`: 0 while one chain is registered, else c + 1.
   std::uint16_t chain_tag(std::uint32_t chain) const {
@@ -139,14 +140,21 @@ class ChainScheduler {
   /// DFS blocks + every chain's persisted map outputs, the multi-tenant
   /// storage ground truth.
   Bytes storage_total() const;
-  /// Cross-chain eviction down to the shared budget (no-op when
-  /// disabled or within budget).
-  void enforce_storage();
+  /// The storage budget (Config::storage_budget; 0 = unlimited).
+  Bytes storage_budget() const { return cfg_.storage_budget; }
+  /// Evict down to the storage budget (no-op when unlimited or within
+  /// budget); `caller` is the chain whose job boundary asks, and tags
+  /// the journal records of result-cache evictions.
+  void enforce_storage(std::uint32_t caller);
 
   /// Attach the shared result cache: when map-output eviction cannot
   /// reach the budget, enforce_storage falls through to evicting the
   /// backing files of finished tenants' unleased cache entries.
   void set_result_cache(ResultCache* cache) { result_cache_ = cache; }
+  /// Attach the decision journal: every eviction appends a kEviction
+  /// record (a = the victim job, or 0xffffffff for a cache entry;
+  /// c = the bytes freed).
+  void set_journal(DecisionJournal* journal) { journal_ = journal; }
 
   // --- introspection for tests and benches ---------------------------
   std::uint32_t num_chains() const;
@@ -205,7 +213,6 @@ class ChainScheduler {
 
   struct ChainState {
     double weight = 1.0;
-    std::uint32_t num_jobs = 0;
     mapred::MapOutputStore* store = nullptr;
     std::unique_ptr<Client> client;
     std::function<void()> kick;
@@ -255,6 +262,11 @@ class ChainScheduler {
   void run_pokes();
 
   std::string chain_metric(std::uint32_t c, const char* name) const;
+  /// Evict the oldest unpinned job of chain c that frees bytes, up to
+  /// `need` bytes; returns the bytes freed (0 when every non-empty job
+  /// is pinned or holds only memory-tier outputs).
+  Bytes evict_oldest(std::uint32_t c, Bytes need);
+  void journal_eviction(std::uint16_t tag, std::uint32_t job, Bytes freed);
 
   sim::Simulation& sim_;
   cluster::Cluster& cluster_;
@@ -263,6 +275,7 @@ class ChainScheduler {
   Config cfg_;
   const cluster::FailureDetector* detector_ = nullptr;
   ResultCache* result_cache_ = nullptr;
+  DecisionJournal* journal_ = nullptr;
 
   std::vector<ChainState> chains_;
   /// Shared free-slot inventory, per node: [map, reduce].

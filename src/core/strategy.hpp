@@ -95,14 +95,6 @@ struct StrategyConfig {
   /// (TenantContext::result_cache).
   bool result_cache = false;
 
-  /// Storage budget for persisted state (DFS intermediate outputs +
-  /// persisted map outputs), in bytes; 0 = unlimited. When exceeded,
-  /// the middleware evicts persisted map outputs of the oldest jobs
-  /// (the paper's future-work eviction, at job granularity).
-  /// Recomputation stays correct — evicted outputs are simply
-  /// regenerated by re-running mappers.
-  Bytes storage_budget = 0;
-
   /// Minimum alive compute nodes required to keep (re)trying. When a
   /// detection finds fewer, the middleware gives up with a structured
   /// kCapacityFloor failure instead of thrashing (or asserting deep in

@@ -38,17 +38,11 @@ bool JobRun::payload_mode() const { return payload_mode_; }
 // ---------------------------------------------------------------------
 
 bool JobRun::map_slot_free(cluster::NodeId n) const {
-  // Suspected and quarantined nodes receive no new task placements;
-  // this single gate covers every placement site.
-  if (env_.detector != nullptr && !env_.detector->schedulable(n))
-    return false;
   return map_node_banned_[n] == 0 &&
          env_.slots.may_acquire(n, SlotKind::kMap);
 }
 
 bool JobRun::reduce_slot_free(cluster::NodeId n) const {
-  if (env_.detector != nullptr && !env_.detector->schedulable(n))
-    return false;
   return env_.slots.may_acquire(n, SlotKind::kReduce);
 }
 

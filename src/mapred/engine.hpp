@@ -61,9 +61,10 @@ struct Env {
   std::uint16_t chain_tag = 0;
   /// Optional heartbeat failure detector. nullptr (the default) keeps
   /// the oracle detection model: the engine trusts storage_alive() alone
-  /// and never consults suspicion, quarantine, or retry backoff. Must
-  /// stay after the positional members so existing aggregate
-  /// initializers stay valid.
+  /// and never consults suspicion, quarantine, or retry backoff. (Slots
+  /// on suspected or quarantined nodes are denied by the slot broker,
+  /// which holds the same detector.) Must stay after the positional
+  /// members so existing aggregate initializers stay valid.
   cluster::FailureDetector* detector = nullptr;
   /// Policy seams, installed by core::Middleware (mapred cannot depend
   /// on core). Unset functions keep the exact pre-policy behavior.

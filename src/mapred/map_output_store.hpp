@@ -178,6 +178,11 @@ class MapOutputStore {
   Bytes total_used() const { return total_used_; }
   /// Bytes persisted for one logical job (eviction accounting).
   Bytes used_for_job(std::uint32_t logical_job) const;
+  /// One past the highest logical job the store has ever held: every
+  /// job with used_for_job() > 0 is below it (a per-job scan's bound).
+  std::uint32_t job_span() const {
+    return static_cast<std::uint32_t>(job_used_.size());
+  }
   /// Memory-tier bytes (mirror of this store's share of the cluster
   /// RAM ledger, audited against it).
   Bytes total_mem_used() const { return total_mem_used_; }

@@ -71,12 +71,12 @@ MultiScenario::MultiScenario(MultiScenarioConfig cfg)
   scheduler_ = std::make_unique<core::ChainScheduler>(
       sim_, cluster_, dfs_, &obs_,
       core::ChainScheduler::Config{cfg_.max_concurrent,
-                                   cfg_.shared_storage_budget});
+                                   cfg_.base.storage_budget});
   if (detector_ != nullptr) scheduler_->set_detector(detector_.get());
+  scheduler_->set_journal(journal_.get());
 
   for (std::uint32_t c = 0; c < cfg_.chains; ++c) {
-    scheduler_->add_chain(weight_of(c), cfg_.base.chain_length,
-                          stores_[c].get());
+    scheduler_->add_chain(weight_of(c), stores_[c].get());
     generate_input(c);
 
     core::ChainSpec chain;

@@ -48,9 +48,6 @@ struct MultiScenarioConfig {
   std::vector<SimTime> submit_at;
   /// Admission limit (ChainScheduler::Config); 0 = unlimited.
   std::uint32_t max_concurrent = 0;
-  /// Shared storage budget across DFS + all chains' persisted map
-  /// outputs; 0 disables cross-chain eviction.
-  Bytes shared_storage_budget = 0;
   /// Result-cache dataset identity per chain; empty = every chain gets
   /// a distinct input, and base.dataset_id labels it (allowed only for
   /// a single chain: distinct inputs cannot share an identity). When

@@ -58,6 +58,15 @@ struct ScenarioConfig {
   /// Tracer ring capacity in events; 0 (default) disables tracing.
   std::size_t trace_capacity = 0;
 
+  /// Storage budget over DFS blocks plus every chain's persisted map
+  /// outputs, in bytes; 0 = unlimited. When a job boundary finds it
+  /// exceeded, the scheduler evicts persisted map outputs oldest job
+  /// first (the paper's future-work eviction, at job granularity),
+  /// from the chain most over its weighted share. Recomputation stays
+  /// correct — evicted outputs are simply regenerated by re-running
+  /// mappers.
+  Bytes storage_budget = 0;
+
   /// Attach a write-ahead decision journal (core/journal.hpp) and make
   /// the coordinator recoverable from cluster::FaultMode::kMasterCrash.
   /// Off by default: journal-free runs stay byte-identical to pre-journal

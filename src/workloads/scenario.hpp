@@ -53,6 +53,8 @@ class Scenario {
   obs::Auditor* auditor() { return ms_.auditor(); }
   /// Null when ScenarioConfig::detector.enabled is false.
   cluster::FailureDetector* detector() { return ms_.detector(); }
+  /// The one-chain scheduler (slots, storage budget, evictions).
+  core::ChainScheduler& scheduler() { return ms_.scheduler(); }
   /// Null unless run with StrategyConfig::result_cache set.
   core::ResultCache* result_cache() { return ms_.result_cache(); }
   /// Null unless ScenarioConfig::journal is set.

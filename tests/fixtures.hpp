@@ -173,7 +173,7 @@ struct EngineFixture {
         cluster(sim, net, make_cluster(nodes, map_slots, reduce_slots)),
         dfs(cluster, 64_MiB, 123),
         sched(sim, cluster, dfs, nullptr) {
-    sched.add_chain(1.0, 1, &outputs);
+    sched.add_chain(1.0, &outputs);
     sched.set_kick(0, [this] {
       if (!runs.empty() && runs.back()->running()) runs.back()->poke();
     });

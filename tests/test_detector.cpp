@@ -234,7 +234,7 @@ TEST(Detector, ChainSchedulerDeniesSlotsOnQuarantinedNodes) {
   core::ChainScheduler sched(f.sim, cluster, dfs, nullptr);
   sched.set_detector(&det);
   mapred::MapOutputStore store;
-  const std::uint32_t chain = sched.add_chain(1.0, 1, &store);
+  const std::uint32_t chain = sched.add_chain(1.0, &store);
   mapred::SlotBroker& broker = sched.broker(chain);
   // may_acquire only grants to admitted chains; run the admission event.
   sched.submit(chain, 0.0, [] {});

@@ -292,7 +292,7 @@ TEST(MemoryTierDifferential, CrossChainDedupEvictionStaysCorrect) {
     ASSERT_TRUE(r[0].completed && r[1].completed);
     ref.push_back(free_run.final_output_checksum(0));
     ref.push_back(free_run.final_output_checksum(1));
-    cfg.shared_storage_budget = testfx::tight_budget(r);
+    cfg.base.storage_budget = testfx::tight_budget(r);
   }
   MultiScenario ms(cfg);
   const auto r = ms.run(strategy);
@@ -383,7 +383,7 @@ TEST(ResultCacheDifferential, CacheUnderEvictionPressureStaysCorrect) {
         gather_records(probe.payloads(), probe.dfs(), probe.input_file(0)),
         cfg.base.chain_length);
   }
-  cfg.shared_storage_budget = testfx::tight_shared_budget(cfg, strategy);
+  cfg.base.storage_budget = testfx::tight_shared_budget(cfg, strategy);
 
   MultiScenario ms(cfg);
   const auto r = ms.run(strategy);
@@ -414,7 +414,7 @@ TEST(ResultCacheDifferential, ChaosWithCacheSpillsAndKillsMatchesOracle) {
         gather_records(probe.payloads(), probe.dfs(), probe.input_file(0)),
         cfg.base.chain_length);
   }
-  cfg.shared_storage_budget = testfx::tight_shared_budget(cfg, strategy);
+  cfg.base.storage_budget = testfx::tight_shared_budget(cfg, strategy);
 
   cluster::RandomScheduleOptions opt;
   opt.events = 3;

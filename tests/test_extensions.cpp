@@ -86,24 +86,45 @@ TEST(StorageBudget, UnlimitedByDefault) {
   Scenario s(workloads::tiny_config(5, 5));
   StrategyConfig cfg;
   cfg.strategy = Strategy::kRcmpSplit;
-  const auto r = s.run(cfg);
-  EXPECT_EQ(r.evicted_jobs, 0u);
+  s.run(cfg);
+  EXPECT_EQ(s.scheduler().evictions(0), 0u);
 }
 
 TEST(StorageBudget, EvictsOldestJobsFirst) {
-  Scenario s(workloads::tiny_config(5, 6));
-  StrategyConfig cfg;
-  cfg.strategy = Strategy::kRcmpSplit;
+  auto sc = workloads::tiny_config(5, 6);
   // DFS state alone (triple-replicated input + 6 intermediate outputs)
   // is ~22.5GiB; all persisted map outputs add 15GiB more. A 30GiB
   // budget forces eviction of roughly half the map outputs.
-  cfg.storage_budget = 60ull * 512 * kMiB;
+  sc.storage_budget = 60ull * 512 * kMiB;
+  Scenario s(sc);
+  StrategyConfig cfg;
+  cfg.strategy = Strategy::kRcmpSplit;
   const auto r = s.run(cfg);
   ASSERT_TRUE(r.completed);
-  EXPECT_GT(r.evicted_jobs, 0u);
+  EXPECT_GT(s.scheduler().evictions(0), 0u);
   // Oldest jobs' outputs evicted, most recent retained.
   EXPECT_EQ(s.map_outputs().used_for_job(0), 0u);
   EXPECT_GT(s.map_outputs().used_for_job(5), 0u);
+}
+
+TEST(StorageBudget, EvictsJobsAppendedToTheChain) {
+  // The eviction scan covers every job the chain runs, including
+  // templates appended after the scenario was configured.
+  auto sc = workloads::payload_config(5, 3);
+  sc.storage_budget = 1;
+  Scenario s(sc);
+  auto& jobs = s.chain().jobs;
+  for (int extra = 0; extra < 2; ++extra) {
+    jobs.push_back(jobs.back());
+    jobs.back().name += "+";
+  }
+  StrategyConfig cfg;
+  cfg.strategy = Strategy::kRcmpSplit;
+  ASSERT_TRUE(s.run(cfg).completed);
+  ASSERT_EQ(s.chain().jobs.size(), 5u);
+  // Job 3 is past the configured length; job 4's boundary evicts it.
+  EXPECT_EQ(s.map_outputs().used_for_job(3), 0u);
+  EXPECT_GE(s.scheduler().evictions(0), 4u);
 }
 
 TEST(StorageBudget, RecomputationStillCorrectAfterEviction) {
@@ -115,13 +136,14 @@ TEST(StorageBudget, RecomputationStillCorrectAfterEviction) {
     ASSERT_TRUE(s.run(cfg).completed);
     ref = s.final_output_checksum();
   }
-  Scenario s(workloads::payload_config(5, 6));
+  auto sc = workloads::payload_config(5, 6);
+  sc.storage_budget = 1;  // evict everything, always
+  Scenario s(sc);
   StrategyConfig cfg;
   cfg.strategy = Strategy::kRcmpSplit;
-  cfg.storage_budget = 1;  // evict everything, always
   const auto r = s.run(cfg, fail_at({6}));
   ASSERT_TRUE(r.completed);
-  EXPECT_GT(r.evicted_jobs, 0u);
+  EXPECT_GT(s.scheduler().evictions(0), 0u);
   EXPECT_EQ(s.final_output_checksum(), ref);
 }
 
@@ -134,10 +156,11 @@ TEST(StorageBudget, EvictionSlowsRecomputationButWorks) {
     with_outputs = s.run(cfg, fail_at({6})).total_time;
   }
   {
-    Scenario s(workloads::tiny_config(6, 6));
+    auto sc = workloads::tiny_config(6, 6);
+    sc.storage_budget = 1;
+    Scenario s(sc);
     StrategyConfig cfg;
     cfg.strategy = Strategy::kRcmpSplit;
-    cfg.storage_budget = 1;
     without_outputs = s.run(cfg, fail_at({6})).total_time;
   }
   EXPECT_GT(without_outputs, with_outputs);

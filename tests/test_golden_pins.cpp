@@ -7,14 +7,17 @@
 // scenes pin the map-placement paths that edit the pending-map list or
 // the replica lists under it: a disk loss while maps are pending, a
 // retry backoff that defers pending maps, and a false suspicion that
-// reconciles while its spurious re-execution is still pending.
+// reconciles while its spurious re-execution is still pending. Two
+// storage-budget scenes pin the eviction loop across a kill: a budget
+// that evicts everything, and one that evicts the oldest jobs only.
 //
 // Each pin is the exact simulated outcome: makespan as a hex float,
 // job/replan/restart counts and the final output checksum. A drift
 // here means a seed is drawn in a different order, or an event lands in
-// a different place in the queue. The placement scenes also pin the MD5
-// of the whole trace, so a changed task placement fails them even when
-// it leaves the makespan alone.
+// a different place in the queue. The placement and budget scenes also
+// pin the MD5 of the whole trace, so a changed task placement or
+// eviction fails them even when it leaves the makespan alone; the
+// budget scenes pin the decision journal's MD5 as well.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -42,13 +45,18 @@ struct Pin {
   mapred::Checksum checksum;
 };
 
-void expect_pin(const core::ChainResult& r, const mapred::Checksum& sum,
-                const Pin& pin) {
+/// Every pinned field but the checksum, for scenes without a payload.
+void expect_run(const core::ChainResult& r, const Pin& pin) {
   ASSERT_TRUE(r.completed);
   EXPECT_EQ(r.total_time, pin.total_time);
   EXPECT_EQ(r.jobs_started, pin.jobs_started);
   EXPECT_EQ(r.replans, pin.replans);
   EXPECT_EQ(r.restarts, pin.restarts);
+}
+
+void expect_pin(const core::ChainResult& r, const mapred::Checksum& sum,
+                const Pin& pin) {
+  expect_run(r, pin);
   EXPECT_EQ(sum.md5_acc, pin.checksum.md5_acc);
   EXPECT_EQ(sum.sum_acc, pin.checksum.sum_acc);
   EXPECT_EQ(sum.key_acc, pin.checksum.key_acc);
@@ -239,6 +247,49 @@ TEST(GoldenPin, FalseSuspicionReconcilesPendingReexecution) {
   expect_pin(r, s.final_output_checksum(),
              {0x1.48dee8b7dddf9p+6, 5, 0, 0, kChainSum});
   expect_trace_md5(s, "7af4a4286132006d151ef222591b7e40");
+}
+
+/// A storage-budget scene with the trace ring and the decision journal
+/// on, so the pins see every eviction and every journaled decision.
+workloads::ScenarioConfig budgeted(workloads::ScenarioConfig cfg,
+                                   Bytes budget) {
+  cfg.storage_budget = budget;
+  cfg.trace_capacity = 1 << 18;
+  cfg.journal = true;
+  return cfg;
+}
+
+void expect_journal_md5(workloads::Scenario& s, const char* md5) {
+  ASSERT_NE(s.journal(), nullptr);
+  EXPECT_EQ(Md5::to_hex(Md5::hash(s.journal()->export_jsonl())), md5);
+}
+
+TEST(GoldenPin, BudgetEvictsEveryPersistedOutputAcrossAKill) {
+  // A one-byte budget evicts every unpinned job's persisted map outputs
+  // at every job boundary, so the node killed 15 s into the sixth job
+  // leaves the replan nothing to reuse.
+  workloads::Scenario s(budgeted(workloads::payload_config(5, 6), 1));
+  const auto r = s.run(strat(Strategy::kRcmpSplit), fail_at({6}));
+  EXPECT_EQ(s.scheduler().evictions(0), 11u);
+  expect_pin(r, s.final_output_checksum(),
+             {0x1.b8d7e51578fdep+7, 12, 1, 0,
+              {0x2cd5d4555779534ULL, 0x13e2ea7ULL, 0x3db0839d7159def1ULL,
+               2560ULL}});
+  expect_trace_md5(s, "ec78156501f4314172492063b9a1cd1f");
+  expect_journal_md5(s, "1e1b0f5be837081b918cb7a7eae74522");
+}
+
+TEST(GoldenPin, BudgetEvictsOldestOutputsAcrossAKill) {
+  // A 30 GiB budget holds the DFS state (~22.5 GiB) and about half the
+  // persisted map outputs: the oldest jobs lose theirs, and the replan
+  // after the kill 15 s into the fifth job reuses what is left.
+  workloads::Scenario s(
+      budgeted(workloads::tiny_config(5, 6), 60ull * 512 * kMiB));
+  const auto r = s.run(strat(Strategy::kRcmpSplit), fail_at({5}));
+  EXPECT_EQ(s.scheduler().evictions(0), 4u);
+  expect_run(r, {0x1.3581f78533867p+9, 11, 1, 0, {}});
+  expect_trace_md5(s, "c346f02185fe0a5b1f01a500fd891cf3");
+  expect_journal_md5(s, "e148b9186bf33a37ec072c33357044d7");
 }
 
 }  // namespace

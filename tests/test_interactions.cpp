@@ -30,14 +30,14 @@ mapred::Checksum reference(const workloads::ScenarioConfig& cfg) {
 }
 
 TEST(Interactions, HybridPlusEvictionUnderDoubleFailure) {
-  const auto cfg = workloads::payload_config(6, 6);
+  auto cfg = workloads::payload_config(6, 6);
   const auto ref = reference(cfg);
+  cfg.storage_budget = 1;  // evict persisted map outputs constantly
   Scenario s(cfg);
   StrategyConfig sc;
   sc.strategy = Strategy::kRcmpSplit;
   sc.hybrid_every = 3;
   sc.reclaim_after_replication = true;
-  sc.storage_budget = 1;  // evict persisted map outputs constantly
   const auto r = s.run(sc, fail_at({4, 6}));
   ASSERT_TRUE(r.completed);
   EXPECT_EQ(s.final_output_checksum(), ref);

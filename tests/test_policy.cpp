@@ -277,12 +277,12 @@ class GreedyPolicy final : public core::IPolicy {
 TEST(PolicyAudit, OverBudgetPreReplicationTripsTheAuditor) {
   auto cfg = workloads::tiny_config(5, 3);
   ASSERT_TRUE(cfg.audit);
+  // One byte of budget: the chain input alone puts usage over it, so
+  // the very first greedy pre-replication is illegal.
+  cfg.storage_budget = 1;
   Scenario s(cfg);
   auto strategy = strat(core::Strategy::kRcmpSplit);
   strategy.policy = std::make_shared<GreedyPolicy>();
-  // One byte of budget: the chain input alone puts usage over it, so
-  // the very first greedy pre-replication is illegal.
-  strategy.storage_budget = 1;
   EXPECT_THROW(s.run(strategy), obs::AuditError);
 }
 

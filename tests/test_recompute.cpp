@@ -262,7 +262,7 @@ mapred::Checksum run_fig5_hazard(bool enforce_rule) {
   PayloadStore payloads;
   // One chain, admitted before the first job bootstraps.
   core::ChainScheduler sched(sim, cl, dfs, nullptr);
-  sched.add_chain(1.0, 1, &outputs);
+  sched.add_chain(1.0, &outputs);
   sched.submit(0, 0.0, [] {});
   Env env{sim, net, cl, dfs, outputs, payloads, sched.broker(0)};
 

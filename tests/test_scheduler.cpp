@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "core/journal.hpp"
 #include "fixtures.hpp"
 #include "mapred/map_output_store.hpp"
 #include "obs/audit.hpp"
@@ -200,8 +201,8 @@ TEST(Scheduler, NextFreeMatchesBruteForceScan) {
   mapred::MapOutputStore store_a;
   mapred::MapOutputStore store_b;
   const std::array<mapred::SlotBroker*, 2> brokers = {
-      &sched.broker(sched.add_chain(1.0, 1, &store_a)),
-      &sched.broker(sched.add_chain(1.0, 1, &store_b))};
+      &sched.broker(sched.add_chain(1.0, &store_a)),
+      &sched.broker(sched.add_chain(1.0, &store_b))};
 
   auto expect_matches_scan = [&](int step) {
     for (int k = 0; k < 2; ++k) {
@@ -318,7 +319,7 @@ TEST(Scheduler, SharedStorageBudgetEvictsAcrossChains) {
     ref0 = free_run.final_output_checksum(0);
     ref1 = free_run.final_output_checksum(1);
     EXPECT_EQ(free_run.scheduler().evicted_bytes(), 0u);
-    cfg.shared_storage_budget = testfx::tight_budget(r);
+    cfg.base.storage_budget = testfx::tight_budget(r);
   }
   MultiScenario ms(cfg);
   const auto r = ms.run(strat(Strategy::kRcmpSplit));
@@ -328,6 +329,113 @@ TEST(Scheduler, SharedStorageBudgetEvictsAcrossChains) {
   // Eviction trades reuse for space, never correctness.
   EXPECT_EQ(ms.final_output_checksum(0), ref0);
   EXPECT_EQ(ms.final_output_checksum(1), ref1);
+}
+
+TEST(Scheduler, SharedBudgetEvictionsAreJournaled) {
+  // The scheduler journals every eviction it traces: same victim job,
+  // bytes, chain tag and time, in the same order. No result cache is
+  // attached, so every eviction is a map-output eviction.
+  auto cfg = multi_config(/*chains=*/2, /*nodes=*/6, /*chain_length=*/4,
+                          /*records_per_node=*/128);
+  {
+    MultiScenario free_run(cfg);
+    cfg.base.storage_budget =
+        testfx::tight_budget(free_run.run(strat(Strategy::kRcmpSplit)));
+  }
+  cfg.base.journal = true;
+  cfg.base.trace_capacity = 1 << 16;
+  MultiScenario ms(cfg);
+  const auto r = ms.run(strat(Strategy::kRcmpSplit));
+  ASSERT_TRUE(r[0].completed && r[1].completed);
+  ASSERT_EQ(ms.obs().tracer.dropped(), 0u);
+
+  std::vector<obs::TraceEvent> traced;
+  for (const obs::TraceEvent& ev : ms.obs().tracer.events()) {
+    if (ev.type == static_cast<std::uint8_t>(obs::EventType::kEviction)) {
+      traced.push_back(ev);
+    }
+  }
+  std::vector<core::JournalRecord> journaled;
+  for (const core::JournalRecord& rec : ms.journal()->records()) {
+    if (rec.type == core::JournalRecordType::kEviction) {
+      journaled.push_back(rec);
+    }
+  }
+  ASSERT_FALSE(traced.empty());
+  ASSERT_EQ(journaled.size(), traced.size());
+  std::array<std::uint32_t, 2> per_chain = {0, 0};
+  for (std::size_t i = 0; i < traced.size(); ++i) {
+    SCOPED_TRACE("eviction " + std::to_string(i));
+    EXPECT_EQ(journaled[i].a, traced[i].job);
+    EXPECT_EQ(static_cast<double>(journaled[i].c), traced[i].value);
+    EXPECT_EQ(journaled[i].chain, traced[i].chain);
+    EXPECT_EQ(journaled[i].time, traced[i].time);
+    ASSERT_GE(journaled[i].chain, 1u);  // two chains: tags are 1 and 2
+    ASSERT_LE(journaled[i].chain, 2u);
+    ++per_chain[journaled[i].chain - 1u];
+  }
+  EXPECT_EQ(per_chain[0], ms.scheduler().evictions(0));
+  EXPECT_EQ(per_chain[1], ms.scheduler().evictions(1));
+}
+
+TEST(Scheduler, CacheEntryEvictionsAreJournaledWithTheCallingChain) {
+  // Chain 0 publishes to the result cache and finishes; chain 1 reads
+  // another dataset, so at its job boundaries a one-byte budget leaves
+  // chain 0's unleased entries as the last lever. Each such eviction is
+  // journaled with a = 0xffffffff and the tag of the evicting chain.
+  auto cfg = testfx::cache_multi_config(/*chains=*/2);
+  cfg.dataset_ids = {0xA11, 0xB0B};
+  cfg.base.storage_budget = 1;
+  cfg.base.journal = true;
+  MultiScenario ms(cfg);
+  const auto r = ms.run(testfx::cache_strategy());
+  ASSERT_TRUE(r[0].completed && r[1].completed);
+  std::uint64_t cache_evictions = 0;
+  for (const core::JournalRecord& rec : ms.journal()->records()) {
+    if (rec.type != core::JournalRecordType::kEviction ||
+        rec.a != 0xffffffffu) {
+      continue;
+    }
+    ++cache_evictions;
+    EXPECT_EQ(rec.chain, ms.scheduler().chain_tag(1));
+    EXPECT_GT(rec.c, 0u);
+  }
+  EXPECT_GT(cache_evictions, 0u);
+  EXPECT_EQ(cache_evictions, ms.obs().metrics.counter("cache.evictions"));
+}
+
+TEST(Scheduler, EvictionTriesTheNextChainWhenTheMostOverFreesNothing) {
+  // Chain A is the most over its share, but all of its bytes sit in a
+  // pinned job. The arbiter must evict chain B's unpinned job instead
+  // of conceding with 4,000 B stored against a 3,500 B budget.
+  testfx::SimFixture f;
+  cluster::Cluster cluster(f.sim, f.net, testfx::spec_of(4));
+  dfs::NameNode dfs(cluster, 64_MiB, 1);  // empty: eviction owns it all
+  core::ChainScheduler sched(f.sim, cluster, dfs, nullptr,
+                             core::ChainScheduler::Config{0, 3500});
+  mapred::MapOutputStore store_a;
+  mapred::MapOutputStore store_b;
+  auto put_job0 = [](mapred::MapOutputStore& store, double bytes) {
+    mapred::MapOutput out;
+    out.node = 0;
+    out.total_bytes = bytes;
+    store.put({/*logical_job=*/0, /*input_partition=*/0,
+               /*block_index=*/0},
+              std::move(out));
+  };
+  put_job0(store_a, 3000.0);
+  put_job0(store_b, 1000.0);
+  store_a.set_pinned_jobs({0});
+  const std::uint32_t a = sched.add_chain(1.0, &store_a);
+  const std::uint32_t b = sched.add_chain(1.0, &store_b);
+  ASSERT_EQ(sched.storage_total(), 4000u);
+
+  sched.enforce_storage(a);
+  EXPECT_EQ(sched.evictions(a), 0u);
+  EXPECT_EQ(sched.evictions(b), 1u);
+  EXPECT_EQ(store_a.total_used(), 3000u);
+  EXPECT_EQ(store_b.total_used(), 0u);
+  EXPECT_EQ(sched.storage_total(), 3000u);
 }
 
 TEST(EvictionPinning, PinnedJobIsNeverEvicted) {
@@ -381,7 +489,7 @@ TEST(EvictionPinning, LiveJobIsPinnedAgainstCrossChainEviction) {
           peak = std::max(peak, res.peak_storage);
         }
       }
-      cfg.shared_storage_budget = peak / 2;
+      cfg.base.storage_budget = peak / 2;
       MultiScenario ms(cfg);
       std::vector<core::ChainResult> r;
       ASSERT_NO_THROW(r = ms.run(strat(Strategy::kRcmpSplit)));
