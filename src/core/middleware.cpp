@@ -106,8 +106,7 @@ Middleware::Middleware(mapred::Env env, ChainSpec chain,
   for (std::uint32_t l = 0; l < chain_.jobs.size(); ++l) {
     JobTemplate& t = chain_.jobs[l];
     if (t.num_reducers == 0) t.num_reducers = default_reducers;
-    files_.push_back(env_.dfs.create_file(
-        "out/" + t.name, t.num_reducers, file_replication(l)));
+    files_.push_back(create_output_file(l));
   }
   completed_once_.assign(chain_.jobs.size(), false);
   attempt_count_.assign(chain_.jobs.size(), 0);
@@ -179,6 +178,12 @@ Middleware::Middleware(mapred::Env env, ChainSpec chain,
     env_.map_outputs.set_spill_hook(
         [this](cluster::NodeId n, Bytes b) { note_spill(n, b); });
   }
+}
+
+dfs::FileId Middleware::create_output_file(std::uint32_t logical) {
+  const JobTemplate& t = chain_.jobs[logical];
+  return env_.dfs.create_file("out/" + t.name, t.num_reducers,
+                              file_replication(logical), tenant_.chain_id);
 }
 
 std::uint32_t Middleware::file_replication(std::uint32_t logical) const {
@@ -285,9 +290,7 @@ void Middleware::revert_borrow(std::uint32_t logical) {
   files_[logical] = own_files_[logical];
   completed_once_[logical] = false;
   if (!env_.dfs.file_exists(files_[logical])) {
-    files_[logical] = env_.dfs.create_file(
-        "out/" + chain_.jobs[logical].name, chain_.jobs[logical].num_reducers,
-        file_replication(logical));
+    files_[logical] = create_output_file(logical);
     own_files_[logical] = files_[logical];
   }
   RCMP_INFO() << "t=" << env_.sim.now() << " middleware: " << tag_
@@ -629,7 +632,7 @@ void Middleware::submit_next() {
                           sub.recompute ? 1 : 0, obs::kNoField,
                           sub.logical_id, ordinal, 0.0, chain_tag());
     sample_storage();
-    env_.obs->audit(obs::AuditPoint::kJobStart);
+    env_.obs->audit(obs::AuditPoint::kJobStart, tenant_.chain_id);
   }
   mapred::EngineConfig run_cfg = engine_cfg_;
   if (policy_ != nullptr) {
@@ -713,7 +716,7 @@ void Middleware::on_run_done(mapred::JobRun& run) {
     // usage) so the auditor's gauge cross-check sees current state.
     if (env_.obs != nullptr) {
       sample_storage();
-      env_.obs->audit(obs::AuditPoint::kJobBoundary);
+      env_.obs->audit(obs::AuditPoint::kJobBoundary, tenant_.chain_id);
     }
     submit_next();
     return;
@@ -771,7 +774,7 @@ void Middleware::on_failure(const cluster::FailureEvent& ev) {
   // peak_storage sees pre-detection state, then audit the books.
   if (env_.obs != nullptr) {
     sample_storage();
-    env_.obs->audit(obs::AuditPoint::kFailure);
+    env_.obs->audit(obs::AuditPoint::kFailure, tenant_.chain_id);
   }
 }
 
@@ -962,9 +965,7 @@ void Middleware::wipe_and_restart() {
         // data is still correct — only this chain is starting over) and
         // restart into a fresh file.
         tenant_.result_cache->detach(fps_[l]);
-        files_[l] = env_.dfs.create_file("out/" + chain_.jobs[l].name,
-                                         chain_.jobs[l].num_reducers,
-                                         file_replication(l));
+        files_[l] = create_output_file(l);
         own_files_[l] = files_[l];
       } else {
         // No borrower: the restart reuses (and clears) the file, so the
@@ -982,9 +983,7 @@ void Middleware::wipe_and_restart() {
       }
     } else {
       // Recreate a reclaimed file so the restart can write it again.
-      files_[l] = env_.dfs.create_file("out/" + chain_.jobs[l].name,
-                                       chain_.jobs[l].num_reducers,
-                                       file_replication(l));
+      files_[l] = create_output_file(l);
       own_files_[l] = files_[l];
     }
     env_.map_outputs.drop_job(l);
@@ -1197,7 +1196,7 @@ void Middleware::fail_chain(ChainResult::FailReason reason,
   publish_metrics();
   if (env_.obs != nullptr) {
     sample_storage();
-    env_.obs->audit(obs::AuditPoint::kFinal);
+    env_.obs->audit(obs::AuditPoint::kFinal, tenant_.chain_id);
   }
   tenant_.scheduler->chain_done(tenant_.chain_id);
   if (on_complete_) on_complete_(result_);
@@ -1229,7 +1228,7 @@ void Middleware::finish_chain() {
   publish_metrics();
   if (env_.obs != nullptr) {
     sample_storage();
-    env_.obs->audit(obs::AuditPoint::kFinal);
+    env_.obs->audit(obs::AuditPoint::kFinal, tenant_.chain_id);
   }
   tenant_.scheduler->chain_done(tenant_.chain_id);
   if (on_complete_) on_complete_(result_);
@@ -1415,9 +1414,7 @@ void Middleware::recover_from_journal() {
       }
     } else if (l >= reclaimed_below_) {
       // Recreate a reclaimed file so the resumed plan can write it.
-      files_[l] = env_.dfs.create_file("out/" + chain_.jobs[l].name,
-                                       chain_.jobs[l].num_reducers,
-                                       file_replication(l));
+      files_[l] = create_output_file(l);
       own_files_[l] = files_[l];
     }
     env_.map_outputs.drop_job(l);

@@ -250,6 +250,8 @@ class Middleware {
   /// by the auditor through the observability hook).
   void apply_policy_replication(const PlannedSubmission& sub);
   std::uint32_t file_replication(std::uint32_t logical) const;
+  /// A fresh DFS file for job `logical`'s output, owned by this chain.
+  dfs::FileId create_output_file(std::uint32_t logical);
   /// Result cache (all no-ops when cache_enabled() is false, keeping
   /// cache-off runs bit-identical to pre-cache builds).
   bool cache_enabled() const;

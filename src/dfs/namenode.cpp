@@ -17,8 +17,9 @@ NameNode::NameNode(cluster::Cluster& cluster, Bytes block_size,
 }
 
 FileId NameNode::create_file(std::string name, std::uint32_t num_partitions,
-                             std::uint32_t replication) {
+                             std::uint32_t replication, std::uint32_t owner) {
   RCMP_CHECK(num_partitions >= 1);
+  RCMP_CHECK(owner != kEveryOwner);
   if (replication < 1 || replication > cluster_.size()) {
     throw ConfigError("replication factor " + std::to_string(replication) +
                       " infeasible on " + std::to_string(cluster_.size()) +
@@ -27,9 +28,21 @@ FileId NameNode::create_file(std::string name, std::uint32_t num_partitions,
   File f;
   f.name = std::move(name);
   f.replication = replication;
+  f.owner = owner;
   f.partitions.resize(num_partitions);
   files_.push_back(std::move(f));
-  return static_cast<FileId>(files_.size() - 1);
+  const auto id = static_cast<FileId>(files_.size() - 1);
+  books_of(owner).files.push_back(id);
+  return id;
+}
+
+NameNode::OwnerBooks& NameNode::books_of(std::uint32_t owner) {
+  while (owners_.size() <= owner) {
+    OwnerBooks& books = owners_.emplace_back();
+    books.used_per_node.assign(cluster_.size(), 0);
+    books.mem_per_node.assign(cluster_.size(), 0);
+  }
+  return owners_[owner];
 }
 
 void NameNode::delete_file(FileId f) {
@@ -195,26 +208,36 @@ void NameNode::commit_partition(FileId f, PartitionIndex p,
   RCMP_CHECK(file_exists(f));
   RCMP_CHECK(p < files_[f].partitions.size());
   PartitionInfo& part = files_[f].partitions[p];
+  const std::uint32_t owner = files_[f].owner;
+  OwnerBooks& books = owners_[owner];
+  auto charge_disk = [&](const BlockInfo& bi) {
+    for (cluster::NodeId n : bi.replicas) {
+      used_per_node_[n] += bi.size;
+      books.used_per_node[n] += bi.size;
+    }
+  };
   for (const auto& pb : blocks) {
     BlockInfo bi;
     bi.size = pb.size;
     bi.replicas = pb.replicas;
     bi.tier = pb.tier;
+    bi.owner = owner;
     const std::uint64_t id = blocks_.size();
     if (bi.tier == cluster::StorageTier::kMemory) {
       RCMP_CHECK(bi.replicas.size() == 1);
       const cluster::NodeId n = bi.replicas[0];
       if (cluster_.ram_try_charge(n, kRamNamespaceDfs, id, pb.size)) {
         mem_per_node_[n] += pb.size;
+        books.mem_per_node[n] += pb.size;
       } else {
         // RAM filled up between plan and commit (a concurrent writer
         // won the headroom): spill this block to disk instead.
         bi.tier = cluster::StorageTier::kDisk;
-        for (cluster::NodeId r : bi.replicas) used_per_node_[r] += pb.size;
+        charge_disk(bi);
         if (spill_hook_) spill_hook_(n, pb.size);
       }
     } else {
-      for (cluster::NodeId n : pb.replicas) used_per_node_[n] += pb.size;
+      charge_disk(bi);
     }
     blocks_.push_back(std::move(bi));
     part.blocks.push_back(id);
@@ -228,13 +251,16 @@ void NameNode::clear_partition(FileId f, PartitionIndex p,
   RCMP_CHECK(f < files_.size());
   RCMP_CHECK(p < files_[f].partitions.size());
   PartitionInfo& part = files_[f].partitions[p];
+  OwnerBooks& books = owners_[files_[f].owner];
   for (std::uint64_t b : part.blocks) {
     BlockInfo& bi = blocks_[b];
     if (bi.tier == cluster::StorageTier::kMemory) {
       for (cluster::NodeId n : bi.replicas) {
         if (cluster_.compute_alive(n)) {
-          RCMP_CHECK(mem_per_node_[n] >= bi.size);
+          RCMP_CHECK(mem_per_node_[n] >= bi.size &&
+                     books.mem_per_node[n] >= bi.size);
           mem_per_node_[n] -= bi.size;
+          books.mem_per_node[n] -= bi.size;
           cluster_.ram_discharge(n, kRamNamespaceDfs, b);
         }
       }
@@ -242,8 +268,10 @@ void NameNode::clear_partition(FileId f, PartitionIndex p,
     } else {
       for (cluster::NodeId n : bi.replicas) {
         if (cluster_.storage_alive(n)) {
-          RCMP_CHECK(used_per_node_[n] >= bi.size);
+          RCMP_CHECK(used_per_node_[n] >= bi.size &&
+                     books.used_per_node[n] >= bi.size);
           used_per_node_[n] -= bi.size;
+          books.used_per_node[n] -= bi.size;
         }
       }
     }
@@ -315,6 +343,7 @@ bool NameNode::file_available(FileId f) const {
 std::vector<LossReport> NameNode::on_node_failure(cluster::NodeId dead) {
   // Account the dead node's stored bytes as gone.
   used_per_node_[dead] = 0;
+  for (OwnerBooks& books : owners_) books.used_per_node[dead] = 0;
 
   // First pass: which written partitions had a disk replica on the lost
   // drive (i.e. the loss is attributable to this failure event)? Memory
@@ -375,6 +404,7 @@ std::vector<LossReport> NameNode::on_compute_failure(cluster::NodeId dead) {
   RCMP_CHECK(dead < mem_per_node_.size());
   if (mem_per_node_[dead] == 0) return {};  // no memory replicas here
   mem_per_node_[dead] = 0;
+  for (OwnerBooks& books : owners_) books.mem_per_node[dead] = 0;
 
   // Which written partitions held a memory replica in the dead process?
   // The cluster wiped the physical RAM ledger already (dispatch_failure
@@ -446,38 +476,85 @@ Bytes NameNode::total_mem_used() const {
   return total;
 }
 
-std::vector<std::string> NameNode::audit_ledger() const {
-  // Ground truth: walk the block table, recounting each tier against
-  // its own ledger. Replicas on tier-dead nodes are skipped, mirroring
-  // the liveness guards in clear_partition (and the failure handlers
-  // strip them anyway).
-  std::vector<Bytes> recount(used_per_node_.size(), 0);
-  std::vector<Bytes> recount_mem(mem_per_node_.size(), 0);
-  for (const BlockInfo& bi : blocks_) {
+std::vector<std::string> NameNode::audit_ledger(std::uint32_t owner,
+                                                std::uint64_t* visited) const {
+  // Ground truth: recount each tier of every block in scope against its
+  // owner's sub-ledger. Replicas on tier-dead nodes are skipped,
+  // mirroring the liveness guards in clear_partition (and the failure
+  // handlers strip them anyway). One scope row of nodes per owner.
+  const bool every = owner == kEveryOwner;
+  const std::size_t nodes = used_per_node_.size();
+  const std::size_t first = every ? 0 : owner;
+  const std::size_t rows =
+      every ? owners_.size() : (owner < owners_.size() ? 1 : 0);
+  std::vector<Bytes> recount(rows * nodes, 0);
+  std::vector<Bytes> recount_mem(rows * nodes, 0);
+  auto count = [&](const BlockInfo& bi) {
+    const std::size_t row = (bi.owner - first) * nodes;
     if (bi.tier == cluster::StorageTier::kMemory) {
       for (cluster::NodeId n : bi.replicas) {
-        if (cluster_.compute_alive(n)) recount_mem[n] += bi.size;
+        if (cluster_.compute_alive(n)) recount_mem[row + n] += bi.size;
       }
     } else {
       for (cluster::NodeId n : bi.replicas) {
-        if (cluster_.storage_alive(n)) recount[n] += bi.size;
+        if (cluster_.storage_alive(n)) recount[row + n] += bi.size;
+      }
+    }
+  };
+  std::uint64_t walked = 0;
+  if (every) {
+    for (const BlockInfo& bi : blocks_) count(bi);
+    walked = blocks_.size();
+  } else if (rows > 0) {
+    for (FileId f : owners_[owner].files) {
+      for (const PartitionInfo& part : files_[f].partitions) {
+        for (std::uint64_t b : part.blocks) count(blocks_[b]);
+        walked += part.blocks.size();
       }
     }
   }
+  *visited += walked;
+
   std::vector<std::string> out;
-  for (cluster::NodeId n = 0; n < recount.size(); ++n) {
-    if (recount[n] != used_per_node_[n]) {
+  auto check = [&out](const char* what, std::size_t o, cluster::NodeId n,
+                      Bytes ledger, Bytes truth) {
+    if (ledger == truth) return;
+    std::ostringstream os;
+    os << "dfs " << what << " sub-ledger of owner " << o
+       << " drifted on node " << n << ": ledger=" << ledger
+       << " B, block-table recount=" << truth << " B";
+    out.push_back(os.str());
+  };
+  for (std::size_t r = 0; r < rows; ++r) {
+    const OwnerBooks& books = owners_[first + r];
+    for (cluster::NodeId n = 0; n < nodes; ++n) {
+      check("storage", first + r, n, books.used_per_node[n],
+            recount[r * nodes + n]);
+      check("memory-tier", first + r, n, books.mem_per_node[n],
+            recount_mem[r * nodes + n]);
+    }
+  }
+  // The shared totals against the sum of every owner's sub-ledger: with
+  // the recounts above, this ties the totals to the block table.
+  for (cluster::NodeId n = 0; n < nodes; ++n) {
+    Bytes disk = 0;
+    Bytes mem = 0;
+    for (const OwnerBooks& books : owners_) {
+      disk += books.used_per_node[n];
+      mem += books.mem_per_node[n];
+    }
+    if (disk != used_per_node_[n]) {
       std::ostringstream os;
-      os << "dfs storage ledger drifted on node " << n << ": ledger="
-         << used_per_node_[n] << " B, block-table recount=" << recount[n]
-         << " B";
+      os << "dfs storage ledger drifted on node " << n
+         << ": total=" << used_per_node_[n]
+         << " B, sum of the owners' sub-ledgers=" << disk << " B";
       out.push_back(os.str());
     }
-    if (recount_mem[n] != mem_per_node_[n]) {
+    if (mem != mem_per_node_[n]) {
       std::ostringstream os;
-      os << "dfs memory-tier ledger drifted on node " << n << ": ledger="
-         << mem_per_node_[n] << " B, block-table recount="
-         << recount_mem[n] << " B";
+      os << "dfs memory-tier ledger drifted on node " << n
+         << ": total=" << mem_per_node_[n]
+         << " B, sum of the owners' sub-ledgers=" << mem << " B";
       out.push_back(os.str());
     }
   }
@@ -488,6 +565,12 @@ void NameNode::debug_corrupt_ledger(cluster::NodeId n,
                                     std::int64_t delta) {
   RCMP_CHECK(n < used_per_node_.size());
   used_per_node_[n] += static_cast<Bytes>(delta);  // wraps when negative
+}
+
+void NameNode::debug_corrupt_ledger(std::uint32_t owner, cluster::NodeId n,
+                                    std::int64_t delta) {
+  debug_corrupt_ledger(n, delta);
+  books_of(owner).used_per_node[n] += static_cast<Bytes>(delta);
 }
 
 }  // namespace rcmp::dfs

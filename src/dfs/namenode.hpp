@@ -14,6 +14,12 @@
 // reports: the per-file list of partitions that just became unavailable
 // — exactly the information RCMP's middleware needs to plan a
 // recomputation cascade.
+//
+// Every file has an owner, a small integer the creator passes (a chain
+// id in a multi-tenant run; 0 for a file created outside any chain).
+// Beside the per-node storage totals the NameNode keeps one disk and one
+// memory sub-ledger per owner, so an auditor can recount one owner's
+// blocks without walking the whole block table.
 #pragma once
 
 #include <cstdint>
@@ -56,6 +62,8 @@ struct BlockInfo {
   /// never durable on a dead node — Fig. 5 reuse must not treat them
   /// as persisted.
   cluster::StorageTier tier = cluster::StorageTier::kDisk;
+  /// Owner of the file the block was committed to.
+  std::uint32_t owner = 0;
 };
 
 struct PartitionInfo {
@@ -87,9 +95,10 @@ class NameNode {
   Bytes block_size() const { return block_size_; }
 
   /// Create an empty file with a fixed partition count and replication
-  /// factor for subsequently written blocks.
+  /// factor for subsequently written blocks. Its blocks are charged to
+  /// `owner`'s sub-ledgers for the file's whole life.
   FileId create_file(std::string name, std::uint32_t num_partitions,
-                     std::uint32_t replication);
+                     std::uint32_t replication, std::uint32_t owner = 0);
   void delete_file(FileId f);
   bool file_exists(FileId f) const;
   const std::string& file_name(FileId f) const;
@@ -137,6 +146,8 @@ class NameNode {
 
   const PartitionInfo& partition(FileId f, PartitionIndex p) const;
   const BlockInfo& block(std::uint64_t block_id) const;
+  /// Block-table entries, cleared ones included: what a full audit walks.
+  std::uint64_t block_count() const { return blocks_.size(); }
   /// Bumped whenever existing blocks' replica lists change:
   /// clear_partition() and the disk- and memory-loss strips. Indexes
   /// keyed by replica node (the engine's locality index) rebuild when
@@ -187,25 +198,48 @@ class NameNode {
     spill_hook_ = std::move(h);
   }
 
-  /// Invariant audit: recount per-node usage from the block table (the
-  /// ground truth) and compare with the incrementally maintained
-  /// ledger. One message per mismatching node; empty = consistent.
-  /// Used by obs::Auditor.
-  std::vector<std::string> audit_ledger() const;
+  /// audit_ledger's scope: the whole block table.
+  static constexpr std::uint32_t kEveryOwner = 0xffffffffu;
 
-  /// Test hook: corrupt the incremental ledger by `delta` bytes on one
-  /// node, so tests can prove the auditor catches drift. Never called
-  /// outside tests.
+  /// Invariant audit: recount usage from the block table (the ground
+  /// truth) and compare with the incrementally maintained ledgers.
+  /// Scoped to one owner it walks only that owner's files and recounts
+  /// its disk and memory sub-ledgers; kEveryOwner walks the whole block
+  /// table and recounts every owner's. Either scope checks that each
+  /// node's totals equal the sum of the owners' sub-ledgers, which ties
+  /// the totals to the block table once every sub-ledger is recounted.
+  /// Adds the block-table entries walked to *visited. One message per
+  /// mismatch; empty = consistent. Used by obs::Auditor.
+  std::vector<std::string> audit_ledger(std::uint32_t owner,
+                                        std::uint64_t* visited) const;
+
+  /// Test hooks: corrupt the incremental ledgers by `delta` bytes on
+  /// one node, so tests can prove the auditor catches drift. The first
+  /// form corrupts the per-node disk total alone; the second corrupts
+  /// `owner`'s disk sub-ledger together with the total, as a missed
+  /// update of one of its blocks would. Never called outside tests.
   void debug_corrupt_ledger(cluster::NodeId n, std::int64_t delta);
+  void debug_corrupt_ledger(std::uint32_t owner, cluster::NodeId n,
+                            std::int64_t delta);
 
  private:
   struct File {
     std::string name;
     std::uint32_t replication = 1;
     cluster::StorageTier tier = cluster::StorageTier::kDisk;
+    std::uint32_t owner = 0;
     std::vector<PartitionInfo> partitions;
     bool deleted = false;
   };
+
+  /// One owner's files and its share of the per-node totals.
+  struct OwnerBooks {
+    std::vector<FileId> files;
+    std::vector<Bytes> used_per_node;
+    std::vector<Bytes> mem_per_node;
+  };
+
+  OwnerBooks& books_of(std::uint32_t owner);
 
   std::vector<cluster::NodeId> pick_replicas(cluster::NodeId writer,
                                              std::uint32_t replication,
@@ -218,6 +252,8 @@ class NameNode {
   std::vector<BlockInfo> blocks_;
   std::vector<Bytes> used_per_node_;
   std::vector<Bytes> mem_per_node_;
+  /// Indexed by owner, grown on demand by create_file.
+  std::vector<OwnerBooks> owners_;
   std::function<void(cluster::NodeId, Bytes)> spill_hook_;
   std::uint64_t scatter_cursor_ = 0;
   std::uint64_t replica_version_ = 0;

@@ -1162,21 +1162,43 @@ void JobRun::fetch_done(std::uint64_t token) {
                           env_.chain_tag);
   }
 
+  // In payload mode every segment's output is looked up and its bucket
+  // checked before the loop, the checks in shared lane passes. The loop
+  // consumes the verdicts in segment order, so recovery runs exactly as
+  // with one check per segment; nothing in it touches the store
+  // (handle_corrupt_map_output runs after it). Virtual segments carry
+  // no records and keep the per-segment marker check: a pre-pass over
+  // them measured slower on dco_late_kill.
+  const std::size_t n = ff.mappers.size();
+  const bool packed = cfg_.verify_on_read && payload_mode_;
+  if (packed) {
+    fetch_outs_.resize(n);
+    fetch_pending_.resize(n);
+    fetch_verdicts_.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      fetch_outs_[i] = output_of(ff.mappers[i]);
+    }
+    MapOutputStore::bucket_states(fetch_outs_, rt.partition, fetch_pending_,
+                                  fetch_verdicts_);
+  }
+
   // Each mapper's segment is accepted independently: a segment whose
   // output vanished mid-flight (corruption handled elsewhere dropped
   // it) rewinds to kWaiting, a segment failing its checksum triggers
   // mapper re-execution, the rest land normally.
   std::vector<std::uint32_t> corrupt;
-  for (std::size_t i = 0; i < ff.mappers.size(); ++i) {
+  for (std::size_t i = 0; i < n; ++i) {
     const std::uint32_t m = ff.mappers[i];
     RCMP_CHECK(rt.contrib[m] == ContribState::kInflight);
-    const MapOutput* out = output_of(m);
+    const MapOutput* out = packed ? fetch_outs_[i] : output_of(m);
     if (out == nullptr) {
       rt.contrib[m] = ContribState::kWaiting;
       continue;
     }
     if (cfg_.verify_on_read) {
-      const BucketState bs = MapOutputStore::bucket_state(*out, rt.partition);
+      const BucketState bs =
+          packed ? fetch_verdicts_[i]
+                 : MapOutputStore::bucket_state(*out, rt.partition);
       if (bs != BucketState::kIntact) {
         if (bs == BucketState::kMissingSum && env_.obs != nullptr) {
           // An unverifiable bucket must never pass silently: surface it

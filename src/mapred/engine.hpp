@@ -499,6 +499,11 @@ class JobRun {
   std::uint32_t rr_cursor_ = 0;  // round-robin node cursor
 
   std::unordered_map<std::uint64_t, FetchFlow> active_fetches_;
+  /// fetch_done's packed verification scratch (payload mode), one entry
+  /// per segment, kept so a fetch allocates nothing once it has grown.
+  std::vector<const MapOutput*> fetch_outs_;
+  std::vector<MapOutputStore::PendingBucket> fetch_pending_;
+  std::vector<BucketState> fetch_verdicts_;
   std::uint64_t next_fetch_token_ = 1;
   double flush_threshold_ = 0.0;
   bool payload_mode_ = false;

@@ -1,6 +1,7 @@
 #include "mapred/map_output_store.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <sstream>
 
 #include "common/error.hpp"
@@ -221,8 +222,12 @@ BucketState MapOutputStore::bucket_state(const MapOutputKey& key,
   return bucket_state(*out, partition);
 }
 
-BucketState MapOutputStore::bucket_state(const MapOutput& out,
-                                         std::uint32_t partition) {
+namespace {
+
+/// bucket_state's verdict when the marker or the output's shape decides
+/// it; nullopt when the bucket's checksum must be compared.
+std::optional<BucketState> verdict_without_sum(const MapOutput& out,
+                                               std::uint32_t partition) {
   if (out.corrupt) return BucketState::kCorrupt;
   // Virtual-size mode carries no payload; the corruption marker above
   // is the whole integrity story.
@@ -233,9 +238,45 @@ BucketState MapOutputStore::bucket_state(const MapOutput& out,
       partition >= out.bucket_sums.size()) {
     return BucketState::kMissingSum;
   }
-  return checksum_of(out.buckets[partition]) == out.bucket_sums[partition]
-             ? BucketState::kIntact
-             : BucketState::kCorrupt;
+  return std::nullopt;
+}
+
+BucketState verdict_of_sum(const MapOutput& out, std::uint32_t partition,
+                           const Checksum& sum) {
+  return sum == out.bucket_sums[partition] ? BucketState::kIntact
+                                           : BucketState::kCorrupt;
+}
+
+}  // namespace
+
+BucketState MapOutputStore::bucket_state(const MapOutput& out,
+                                         std::uint32_t partition) {
+  if (const auto v = verdict_without_sum(out, partition)) return *v;
+  return verdict_of_sum(out, partition, checksum_of(out.buckets[partition]));
+}
+
+void MapOutputStore::bucket_states(std::span<const MapOutput* const> outs,
+                                   std::uint32_t partition,
+                                   std::span<PendingBucket> pending,
+                                   std::span<BucketState> verdicts) {
+  // Buckets the marker or the output's shape decides get their verdict
+  // here; the rest queue in `pending`, in order, for the packed sums.
+  PackedChecksums packed;
+  std::size_t queued = 0;
+  for (std::size_t i = 0; i < outs.size(); ++i) {
+    if (outs[i] == nullptr) continue;
+    if (const auto v = verdict_without_sum(*outs[i], partition)) {
+      verdicts[i] = *v;
+      continue;
+    }
+    PendingBucket& p = pending[queued++];
+    p = {i, Checksum{}};
+    packed.add(p.sum, outs[i]->buckets[partition]);
+  }
+  packed.finish();
+  for (const PendingBucket& p : pending.first(queued)) {
+    verdicts[p.out] = verdict_of_sum(*outs[p.out], partition, p.sum);
+  }
 }
 
 bool MapOutputStore::corrupt_one(Rng& rng) {

@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -128,6 +129,21 @@ class MapOutputStore {
   /// The same check on an output the caller already holds.
   static BucketState bucket_state(const MapOutput& out,
                                   std::uint32_t partition);
+  /// A bucket bucket_states decides by its checksum: the output's
+  /// index in `outs` and the bucket's sum.
+  struct PendingBucket {
+    std::size_t out = 0;
+    Checksum sum;
+  };
+  /// bucket_state(*outs[i], partition) for every non-null outs[i],
+  /// written to verdicts[i], with all the buckets' checksums in shared
+  /// lane passes (PackedChecksums): a shuffle fetch's segments hold a
+  /// few records each. `pending` is scratch, at least outs.size() long,
+  /// so a caller that keeps it allocates nothing per call.
+  static void bucket_states(std::span<const MapOutput* const> outs,
+                            std::uint32_t partition,
+                            std::span<PendingBucket> pending,
+                            std::span<BucketState> verdicts);
   /// True iff bucket_state is kIntact.
   bool bucket_intact(const MapOutputKey& key, std::uint32_t partition) const {
     return bucket_state(key, partition) == BucketState::kIntact;

@@ -74,30 +74,36 @@ Checksum checksum_of(std::span<const Record> records) {
   return c;
 }
 
+void PackedChecksums::add(Checksum& sum, std::span<const Record> records) {
+  for (const Record& r : records) {
+    pass_[filled_] = r;
+    sum_of_[filled_] = &sum;
+    if (++filled_ == kLanes) run_pass();
+  }
+  sum.count += records.size();
+}
+
+void PackedChecksums::finish() {
+  if (filled_ > 0) run_pass();
+}
+
+void PackedChecksums::run_pass() {
+  RecordChecks checks[kLanes];
+  check_pass({pass_, filled_}, words_, checks);
+  for (std::size_t l = 0; l < filled_; ++l) {
+    fold(*sum_of_[l], checks[l], pass_[l]);
+  }
+  filled_ = 0;
+}
+
 std::vector<Checksum> bucket_checksums(
     std::span<const std::vector<Record>> buckets) {
   std::vector<Checksum> sums(buckets.size());
-  LaneWords words = {};
-  Record pass[kLanes];
-  std::size_t owner[kLanes];  // bucket of each lane
-  RecordChecks checks[kLanes];
-  std::size_t filled = 0;
-  auto run_pass = [&] {
-    check_pass({pass, filled}, words, checks);
-    for (std::size_t l = 0; l < filled; ++l) {
-      fold(sums[owner[l]], checks[l], pass[l]);
-    }
-    filled = 0;
-  };
+  PackedChecksums packed;
   for (std::size_t b = 0; b < buckets.size(); ++b) {
-    for (const Record& r : buckets[b]) {
-      pass[filled] = r;
-      owner[filled] = b;
-      if (++filled == kLanes) run_pass();
-    }
-    sums[b].count = buckets[b].size();
+    packed.add(sums[b], buckets[b]);
   }
-  if (filled > 0) run_pass();
+  packed.finish();
   return sums;
 }
 

@@ -99,11 +99,30 @@ struct Checksum {
 
 Checksum checksum_of(std::span<const Record> records);
 
-/// checksum_of(buckets[b]) for every bucket b, in one series of
-/// Md5::kLanes-record passes that run across bucket boundaries, each
-/// lane folded into its own bucket's sum. A map output's buckets often
-/// hold only a few records each, so a pass per bucket would leave most
-/// lanes idle. Exact, because every Checksum field is a modular sum.
+/// Checksums of many record runs in one series of Md5::kLanes-record
+/// passes that run across run boundaries, each lane folded into its own
+/// run's sum. A map output's buckets and a shuffle fetch's segments
+/// often hold only a few records each, so a pass per run would leave
+/// most lanes idle. Exact, because every Checksum field is a modular
+/// sum. Allocates nothing.
+class PackedChecksums {
+ public:
+  /// Add every record of `records` to `sum`, count included. `sum` must
+  /// stay in place until finish().
+  void add(Checksum& sum, std::span<const Record> records);
+  /// Run the last, part-filled pass: every sum is complete after it.
+  void finish();
+
+ private:
+  void run_pass();
+
+  std::uint32_t words_[16][Md5::kLanes] = {};
+  Record pass_[Md5::kLanes];
+  Checksum* sum_of_[Md5::kLanes];  // the sum each lane's record folds into
+  std::size_t filled_ = 0;
+};
+
+/// checksum_of(buckets[b]) for every bucket b, through PackedChecksums.
 std::vector<Checksum> bucket_checksums(
     std::span<const std::vector<Record>> buckets);
 

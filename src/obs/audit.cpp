@@ -22,8 +22,13 @@ const char* point_name(AuditPoint p) {
 }  // namespace
 
 Auditor::Auditor(const Refs& refs, Observability& obs)
-    : refs_(refs), obs_(obs) {
-  obs_.audit_hook = [this](AuditPoint p) { run_checks(p); };
+    : refs_(refs),
+      obs_(obs),
+      finished_(refs.tenant_stores.size(), false),
+      unfinished_(refs.tenant_stores.size()) {
+  obs_.audit_hook = [this](AuditPoint p, std::uint32_t chain) {
+    run_checks(p, chain);
+  };
   obs_.violation_hook = [this](const std::string& what) {
     obs_.metrics.add("audit.violations");
     throw AuditError("invariant audit failed (reported violation):\n  - " +
@@ -58,10 +63,18 @@ Auditor::Auditor(const Refs& refs, Observability& obs)
   };
 }
 
-void Auditor::run_checks(AuditPoint point) {
+void Auditor::run_checks(AuditPoint point, std::uint32_t chain) {
+  RCMP_CHECK_MSG(chain < refs_.tenant_stores.size(),
+                 "audit point of unknown chain " << chain);
+  // A failure can move any chain's books, and the last final point ends
+  // the run: both recount everything. Other points recount the books
+  // of the chain that reached them.
+  const bool everything =
+      point == AuditPoint::kFailure ||
+      (point == AuditPoint::kFinal && note_final(chain));
   std::vector<std::string> violations;
   check_event_queue(&violations);
-  check_storage(&violations);
+  check_storage(everything ? kEveryChain : chain, &violations);
   if (refs_.net != nullptr) {
     for (std::string& v : refs_.net->audit()) {
       violations.push_back(std::move(v));
@@ -105,18 +118,36 @@ void Auditor::check_event_queue(std::vector<std::string>* violations) {
   last_audit_now_ = sim.now();
 }
 
-void Auditor::check_storage(std::vector<std::string>* violations) {
+bool Auditor::note_final(std::uint32_t chain) {
+  if (!finished_[chain]) {
+    finished_[chain] = true;
+    --unfinished_;
+  }
+  return unfinished_ == 0;
+}
+
+void Auditor::check_storage(std::uint32_t chain,
+                            std::vector<std::string>* violations) {
   if (refs_.dfs != nullptr) {
-    for (std::string& v : refs_.dfs->audit_ledger()) {
+    std::uint64_t visited = 0;
+    for (std::string& v : refs_.dfs->audit_ledger(chain, &visited)) {
       violations->push_back(std::move(v));
     }
+    obs_.metrics.add("audit.dfs_blocks_recounted", visited);
   }
-  for (mapred::MapOutputStore* store : refs_.tenant_stores) {
+  const bool everything = chain == kEveryChain;
+  const std::size_t first = everything ? 0 : chain;
+  const std::size_t last = everything ? refs_.tenant_stores.size() : chain + 1;
+  std::uint64_t recounted = 0;
+  for (std::size_t c = first; c < last; ++c) {
+    const mapred::MapOutputStore* store = refs_.tenant_stores[c];
     if (store == nullptr) continue;
     for (std::string& v : store->audit_ledger()) {
       violations->push_back(std::move(v));
     }
+    ++recounted;
   }
+  obs_.metrics.add("audit.store_recounts", recounted);
   // Cross-check the middleware's storage sampling: the middleware
   // samples immediately before every audit point, so the current-use
   // gauge must equal the ground truth and the peak must dominate it.

@@ -8,8 +8,23 @@
 // precisely because it is incremental — and therefore can silently
 // drift if any update path is missed. The auditor recomputes each from
 // first principles (scan the blocks, scan the outputs, re-derive the
-// max-min conditions) at every job boundary and failure event and
-// aborts with a structured report on mismatch.
+// max-min conditions) at every audit point and aborts with a
+// structured report on mismatch.
+//
+// A storage recount costs what it checks. A chain's job-start,
+// job-boundary and final points recount that chain's map-output store
+// and the DFS blocks of the files it owns (against its DFS
+// sub-ledgers), and check that each node's DFS totals equal the sum of
+// every owner's sub-ledgers. Every failure point, and the last chain's
+// final point (the end of the run), recount every store and the whole
+// block table. Drift in a ledger entry is therefore reported at the
+// first of: its owning chain's next audit point, the next failure
+// point, or the end of the run; drift in the shared DFS totals at the
+// next point of any chain. A fault-free run's recount work grows
+// linearly with its chain count (`audit.store_recounts`,
+// `audit.dfs_blocks_recounted`).
+// The event-queue, flow-network, storage-gauge and RAM cross-checks run
+// in full at every point.
 //
 // It also enforces the paper's Fig. 5 reuse rule *online*: every reuse
 // decision and shuffle fetch reports a ReuseCheck through the
@@ -44,8 +59,11 @@ class Auditor {
     res::FlowNetwork* net = nullptr;
     cluster::Cluster* cluster = nullptr;
     dfs::NameNode* dfs = nullptr;
-    /// Every chain's persisted-map-output store. Each ledger is
-    /// recounted, and the storage-gauge cross-check sums them all.
+    /// Every chain's persisted-map-output store, indexed by chain id
+    /// (the DFS owner id of the chain's files). A chain's own audit
+    /// points recount its store, failure points and the end of the run
+    /// recount them all, and the storage-gauge cross-check sums them
+    /// all at every point.
     std::vector<mapred::MapOutputStore*> tenant_stores;
     /// Payload store (payload-backed runs): enables the result-cache
     /// differential cross-check. Null = virtual mode, hit checks skip.
@@ -61,9 +79,11 @@ class Auditor {
   /// Reuse/fetch legality checks validated.
   std::uint64_t reuse_checks() const { return reuse_checks_; }
 
-  /// Run every check now; throws AuditError with a structured report on
-  /// the first violating pass. Normally invoked through the hooks.
-  void run_checks(AuditPoint point);
+  /// Run every check now, at a point `chain` reached, with the storage
+  /// recounts scoped as the header describes; throws AuditError with a
+  /// structured report on the first violating pass. Normally invoked
+  /// through the hooks.
+  void run_checks(AuditPoint point, std::uint32_t chain);
 
   /// Deterministic snapshot of node `n`'s storage ledger entries: its
   /// DFS usage plus its share of each map-output store. Two equal
@@ -138,8 +158,16 @@ class Auditor {
   }
 
  private:
+  /// Scope of a storage recount that covers every chain.
+  static constexpr std::uint32_t kEveryChain = dfs::NameNode::kEveryOwner;
+
   void check_event_queue(std::vector<std::string>* violations);
-  void check_storage(std::vector<std::string>* violations);
+  /// Storage checks, recounting `chain`'s ledgers or kEveryChain's.
+  void check_storage(std::uint32_t chain,
+                     std::vector<std::string>* violations);
+  /// Record that `chain` reached its final point; true when it was the
+  /// last chain to, which ends the run.
+  bool note_final(std::uint32_t chain);
   [[noreturn]] void fail(AuditPoint point,
                          const std::vector<std::string>& violations) const;
 
@@ -153,6 +181,9 @@ class Auditor {
   std::uint64_t cache_hit_checks_ = 0;
   std::uint64_t journal_replay_checks_ = 0;
   SimTime last_audit_now_ = 0.0;
+  /// Chains that reached their final point, by chain id.
+  std::vector<bool> finished_;
+  std::size_t unfinished_ = 0;
   /// Ledger digests captured at suspicion time, by suspected node.
   std::unordered_map<cluster::NodeId, std::string> suspicion_digests_;
 };

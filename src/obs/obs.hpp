@@ -42,7 +42,9 @@ class AuditError : public Error {
   using Error::Error;
 };
 
-/// Where in the chain lifecycle an audit pass runs.
+/// Where in the chain lifecycle an audit pass runs. Every point carries
+/// the chain that reached it (obs/audit.hpp explains what each point
+/// recounts).
 enum class AuditPoint : std::uint8_t {
   kJobStart = 0,
   kJobBoundary = 1,  // after a job completes, before the next submits
@@ -96,8 +98,9 @@ struct Observability {
   Tracer tracer;
   MetricsRegistry metrics;
 
-  /// Installed by the auditor: run invariant checks now.
-  std::function<void(AuditPoint)> audit_hook;
+  /// Installed by the auditor: run invariant checks now, at a point
+  /// `chain` reached.
+  std::function<void(AuditPoint, std::uint32_t chain)> audit_hook;
   /// Installed by the auditor: validate one reuse/fetch decision.
   std::function<void(const ReuseCheck&)> reuse_hook;
   /// Installed by the middleware: take a storage sample now.
@@ -122,8 +125,8 @@ struct Observability {
   std::function<void(const JournalReplayCheck&)> journal_replay_hook;
 
   // Null-safe dispatch used by the emitting layers.
-  void audit(AuditPoint p) {
-    if (audit_hook) audit_hook(p);
+  void audit(AuditPoint p, std::uint32_t chain) {
+    if (audit_hook) audit_hook(p, chain);
   }
   void check_reuse(const ReuseCheck& rc) {
     if (reuse_hook) reuse_hook(rc);

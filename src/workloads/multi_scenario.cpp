@@ -136,7 +136,7 @@ void MultiScenario::generate_input(std::uint32_t chain) {
   const auto nodes = static_cast<std::uint32_t>(storage.size());
   const dfs::FileId input = dfs_.create_file(
       cfg_.chains > 1 ? "input.c" + std::to_string(chain) : "input", nodes,
-      cfg_.base.input_replication);
+      cfg_.base.input_replication, chain);
   for (std::uint32_t p = 0; p < nodes; ++p) {
     const cluster::NodeId writer = storage[p];
     const auto plan =

@@ -14,6 +14,7 @@
 // export 200+); the local defaults keep the suite fast.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -370,27 +371,52 @@ TEST(ResultCacheDifferential, OverlappingTenantsCleanRunMatchesOracle) {
 }
 
 TEST(ResultCacheDifferential, CacheUnderEvictionPressureStaysCorrect) {
-  // Tight shared budget on top of the cache: the scheduler's eviction
-  // fall-through deletes cached backing files under pressure, and the
-  // borrowers must revert to recomputation rather than consume a
-  // dangling entry.
-  auto cfg = testfx::cache_multi_config(/*chains=*/2);
+  // One chain at a time: an owner publishes over dataset D and
+  // finishes, a tenant over dataset E runs next under a tight shared
+  // budget, and its job boundaries fall through to deleting the owner's
+  // unleased cached backing files. The borrower over D comes last. Its
+  // last job differs from the owner's, so it can only hit entries the
+  // eviction may delete (the owner's final output is never evicted): it
+  // must hit less than without the budget, recompute what was deleted,
+  // and still equal the eager oracle.
+  auto cfg = testfx::cache_multi_config(/*chains=*/3);
+  cfg.dataset_ids = {0xDA7AULL, 0xE15EULL, 0xDA7AULL};
   const auto strategy = testfx::cache_strategy();
-  mapred::Checksum oracle;
+  auto start = [&](MultiScenario& ms) {
+    ms.chain(2).jobs.back().num_reducers = 2;
+    ms.start(strategy);
+  };
+  std::vector<mapred::Checksum> oracle;
+  std::uint32_t free_hits = 0;
   {
-    MultiScenario probe(cfg);
-    oracle = oracle_checksum(
-        gather_records(probe.payloads(), probe.dfs(), probe.input_file(0)),
-        cfg.base.chain_length);
+    MultiScenario free_run(cfg);
+    for (std::uint32_t c = 0; c < cfg.chains; ++c) {
+      oracle.push_back(oracle_checksum(
+          gather_records(free_run.payloads(), free_run.dfs(),
+                         free_run.input_file(c)),
+          cfg.base.chain_length));
+    }
+    start(free_run);
+    const auto r = free_run.finish();
+    free_hits = r[2].cache_hits;
+    // Half the budget-free peak: the middle tenant's job boundaries run
+    // out of map outputs to evict (testfx::tight_budget's quarter off
+    // the peak never reaches the cache).
+    Bytes peak = 0;
+    for (const auto& res : r) peak = std::max(peak, res.peak_storage);
+    cfg.base.storage_budget = peak / 2;
   }
-  cfg.base.storage_budget = testfx::tight_shared_budget(cfg, strategy);
+  ASSERT_GT(free_hits, 0u);
 
   MultiScenario ms(cfg);
-  const auto r = ms.run(strategy);
+  start(ms);
+  const auto r = ms.finish();
   for (std::uint32_t c = 0; c < cfg.chains; ++c) {
     ASSERT_TRUE(r[c].completed) << "chain " << c;
-    EXPECT_EQ(ms.final_output_checksum(c), oracle) << "chain " << c;
+    EXPECT_EQ(ms.final_output_checksum(c), oracle[c]) << "chain " << c;
   }
+  EXPECT_GT(ms.obs().metrics.counter("cache.evictions"), 0u);
+  EXPECT_LT(r[2].cache_hits, free_hits);
   EXPECT_EQ(ms.obs().metrics.counter("audit.violations"), 0u);
 }
 

@@ -412,6 +412,111 @@ TEST(MapOutputStore, BucketStateCatchesAFlipInEveryLane) {
   }
 }
 
+/// A payload output of three buckets with scalar-captured sums; bucket
+/// 1, the one the packed-verification tests fetch, holds `n` records.
+MapOutput payload_output(std::uint64_t seed, std::size_t n) {
+  MapOutput out;
+  out.node = 0;
+  out.total_bytes = 64.0;
+  out.buckets = {seeded_records(seed, 1), seeded_records(seed + 1, n),
+                 seeded_records(seed + 2, 2)};
+  for (const auto& bucket : out.buckets) {
+    out.bucket_sums.push_back(checksum_of(bucket));
+  }
+  return out;
+}
+
+/// The packed verdicts of one fetch: bucket_states over `outs`.
+std::vector<BucketState> packed_verdicts(
+    const std::vector<const MapOutput*>& outs, std::uint32_t partition) {
+  std::vector<MapOutputStore::PendingBucket> pending(outs.size());
+  std::vector<BucketState> verdicts(outs.size(), BucketState::kIntact);
+  MapOutputStore::bucket_states(outs, partition, pending, verdicts);
+  return verdicts;
+}
+
+// A fetch of 0-17 segments mixing every output kind. Segment sizes
+// cycle through 0-9 records, so segments straddle the 8-lane passes at
+// every offset; each packed verdict must equal the per-output one.
+TEST(MapOutputStore, PackedBucketStatesEqualPerOutputBucketState) {
+  constexpr std::uint32_t kPartition = 1;
+  const std::size_t sizes[] = {2, 1, 3, 7, 5, 2, 9, 1, 4, 8, 6, 2, 0};
+  std::vector<MapOutput> pool;
+  std::uint64_t seed = 0x9ACC3DULL;
+  for (std::size_t i = 0; i < 18; ++i) {
+    MapOutput out = payload_output(seed += 3, sizes[i % std::size(sizes)]);
+    switch (i % 7) {
+      case 1:  // the virtual-mode corruption marker
+        out.corrupt = true;
+        break;
+      case 3:  // payload, but no sum captured for the fetched bucket
+        out.bucket_sums.resize(kPartition);
+        break;
+      case 4:  // virtual: no buckets at all
+        out.buckets.clear();
+        out.bucket_sums.clear();
+        break;
+      case 5:  // an empty bucket with its (empty) sum
+        out.buckets[kPartition].clear();
+        out.bucket_sums[kPartition] = Checksum{};
+        break;
+      case 6:  // bytes that differ from the captured sum
+        out.buckets[kPartition].push_back(Record{1, 2});
+        break;
+      default:  // intact
+        break;
+    }
+    pool.push_back(std::move(out));
+  }
+  const std::size_t offsets[] = {0, 1, 4};
+  for (std::size_t offset : offsets) {
+    for (std::size_t n = 0; n <= 17; ++n) {
+      std::vector<const MapOutput*> outs;
+      for (std::size_t i = 0; i < n; ++i) {
+        // Every ninth segment's output vanished mid-flight.
+        outs.push_back((i + offset) % 9 == 8
+                           ? nullptr
+                           : &pool[(i + offset) % pool.size()]);
+      }
+      const auto verdicts = packed_verdicts(outs, kPartition);
+      for (std::size_t i = 0; i < n; ++i) {
+        if (outs[i] == nullptr) continue;
+        EXPECT_EQ(verdicts[i],
+                  MapOutputStore::bucket_state(*outs[i], kPartition))
+            << "offset " << offset << ", " << n << " segments, segment " << i;
+      }
+    }
+  }
+}
+
+// One record flipped in each lane position of a 17-record, 6-segment
+// fetch (two full passes and a one-lane tail) turns exactly its own
+// segment corrupt.
+TEST(MapOutputStore, PackedBucketStatesCatchAFlipInEveryLane) {
+  constexpr std::uint32_t kPartition = 1;
+  const std::size_t sizes[] = {3, 1, 5, 2, 4, 2};
+  std::vector<MapOutput> captured;
+  std::uint64_t seed = 0xF11B5ULL;
+  for (std::size_t n : sizes) captured.push_back(payload_output(seed += 3, n));
+  std::size_t record = 0;
+  for (std::size_t seg = 0; seg < captured.size(); ++seg) {
+    for (std::size_t r = 0; r < sizes[seg]; ++r, ++record) {
+      std::vector<MapOutput> outputs = captured;
+      outputs[seg].buckets[kPartition][r].value ^= 0xdeadbeefULL;
+      std::vector<const MapOutput*> outs;
+      for (const MapOutput& out : outputs) outs.push_back(&out);
+      const auto verdicts = packed_verdicts(outs, kPartition);
+      for (std::size_t i = 0; i < outs.size(); ++i) {
+        EXPECT_EQ(verdicts[i], i == seg ? BucketState::kCorrupt
+                                        : BucketState::kIntact)
+            << "record " << record << " (lane " << record % Md5::kLanes
+            << ") flipped, segment " << i;
+      }
+    }
+  }
+  EXPECT_EQ(record, 17u);
+}
+
 /// A store whose ledgers hold: disk outputs of job 1 on nodes 1 and 2
 /// (1000 B each) and one memory-tier output of job 2 on node 3.
 struct LedgerFixture : StoreFixture {

@@ -5,13 +5,20 @@
 // hybrid NaN intervals, mid-job storage sampling).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <functional>
+#include <sstream>
+#include <string>
+#include <vector>
 
+#include "fixtures.hpp"
 #include "mapred/map_output_store.hpp"
 #include "obs/audit.hpp"
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
 #include "obs/trace.hpp"
+#include "workloads/multi_scenario.hpp"
 #include "workloads/scenario.hpp"
 
 namespace rcmp {
@@ -19,6 +26,8 @@ namespace {
 
 using core::Strategy;
 using core::StrategyConfig;
+using obs::AuditPoint;
+using workloads::MultiScenario;
 using workloads::Scenario;
 
 StrategyConfig rcmp_split() {
@@ -214,6 +223,218 @@ TEST(Auditor, DisabledByConfig) {
   s.dfs().debug_corrupt_ledger(0, 512);  // nobody is watching
   const auto r = s.run(rcmp_split());
   EXPECT_TRUE(r.completed);
+}
+
+// --- chain-scoped audits ---------------------------------------------
+//
+// A chain's job-start, job-boundary and final points recount only its
+// own ledgers; failure points and the end of the run recount all. Each
+// test plants drift at a chosen point through a tap on the audit hook
+// and asserts exactly which later point reports it.
+
+/// One audit point as the hook saw it.
+struct PointSeen {
+  AuditPoint point;
+  std::uint32_t chain;
+  SimTime at;
+};
+
+/// Logs every audit point of `ms` in order and calls `after` once a
+/// point's checks have passed. The last entry of `seen` is the point
+/// that threw, if one did.
+class AuditTap {
+ public:
+  AuditTap(MultiScenario& ms, std::function<void(const PointSeen&)> after)
+      : after_(std::move(after)) {
+    auto& hook = ms.obs().audit_hook;
+    hook = [this, &ms, inner = std::move(hook)](AuditPoint p,
+                                                 std::uint32_t c) {
+      seen.push_back({p, c, ms.sim().now()});
+      const PointSeen now = seen.back();
+      inner(p, c);
+      after_(now);
+    };
+  }
+  AuditTap(const AuditTap&) = delete;
+  AuditTap& operator=(const AuditTap&) = delete;
+
+  std::vector<PointSeen> seen;
+
+ private:
+  std::function<void(const PointSeen&)> after_;
+};
+
+/// The head of the AuditError report a failing point `p` produces.
+std::string report_head(const PointSeen& p) {
+  const char* names[] = {"job_start", "job_boundary", "failure", "final"};
+  std::ostringstream os;
+  os << "invariant audit failed at t=" << p.at
+     << " point=" << names[static_cast<int>(p.point)] << " (";
+  return os.str();
+}
+
+/// Runs `ms` to the audit error it must raise; returns the report.
+std::string run_to_audit_error(MultiScenario& ms) {
+  try {
+    ms.run(rcmp_split());
+  } catch (const obs::AuditError& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "the planted drift was never reported";
+  return "";
+}
+
+constexpr std::uint32_t kA = 0;
+constexpr std::uint32_t kB = 1;
+
+/// Plants drift in chain B's books right after chain A's first job
+/// boundary passes. Chain A's next job start follows at once, so the
+/// test sees A's next scoped point pass before B's next point reports.
+void expect_reported_at_owners_next_point(
+    const std::function<void(MultiScenario&)>& plant) {
+  MultiScenario ms(testfx::multi_config(/*chains=*/2));
+  std::size_t planted = 0;
+  AuditTap tap(ms, [&](const PointSeen& p) {
+    if (planted == 0 && p.chain == kA &&
+        p.point == AuditPoint::kJobBoundary) {
+      plant(ms);
+      planted = tap.seen.size();
+    }
+  });
+  const std::string report = run_to_audit_error(ms);
+  ASSERT_GT(planted, 0u);
+  ASSERT_GT(tap.seen.size(), planted + 1);
+  const PointSeen next = tap.seen[planted];
+  EXPECT_EQ(next.chain, kA);
+  EXPECT_EQ(next.point, AuditPoint::kJobStart);
+  // Every point after the plant passed except the last, B's first.
+  const PointSeen& reported = tap.seen.back();
+  EXPECT_EQ(reported.chain, kB);
+  for (std::size_t i = planted; i + 1 < tap.seen.size(); ++i) {
+    EXPECT_EQ(tap.seen[i].chain, kA) << "point " << i;
+  }
+  EXPECT_EQ(report.rfind(report_head(reported), 0), 0u) << report;
+}
+
+TEST(Auditor, StoreDriftIsReportedAtTheOwningChainsNextPoint) {
+  expect_reported_at_owners_next_point([](MultiScenario& ms) {
+    ms.map_outputs(kB).debug_corrupt_ledger(
+        mapred::MapOutputStore::Ledger::kNode, 0, 64);
+  });
+}
+
+TEST(Auditor, DfsSubLedgerDriftIsReportedAtTheOwningChainsNextPoint) {
+  expect_reported_at_owners_next_point(
+      [](MultiScenario& ms) { ms.dfs().debug_corrupt_ledger(kB, 0, 512); });
+}
+
+TEST(Auditor, DfsTotalsDriftIsReportedAtTheNextPointOfAnyChain) {
+  // Planted after A's first job start: the next point, whichever chain
+  // reaches it, finds the node total off the owners' sum.
+  MultiScenario ms(testfx::multi_config(/*chains=*/2));
+  std::size_t planted = 0;
+  AuditTap tap(ms, [&](const PointSeen& p) {
+    if (planted == 0 && p.chain == kA && p.point == AuditPoint::kJobStart) {
+      ms.dfs().debug_corrupt_ledger(0, 512);
+      planted = tap.seen.size();
+    }
+  });
+  const std::string report = run_to_audit_error(ms);
+  ASSERT_GT(planted, 0u);
+  ASSERT_EQ(tap.seen.size(), planted + 1);
+  EXPECT_EQ(report.rfind(report_head(tap.seen.back()), 0), 0u) << report;
+  EXPECT_NE(report.find("sum of the owners' sub-ledgers"), std::string::npos)
+      << report;
+}
+
+/// Chain B starts after chain A has finished its first job, so A
+/// finishes first and B still runs afterwards.
+workloads::MultiScenarioConfig staggered_config() {
+  auto cfg = testfx::multi_config(/*chains=*/2);
+  cfg.submit_at = {0.0, 40.0};
+  return cfg;
+}
+
+TEST(Auditor, FinishedChainDriftIsReportedAtTheNextFailurePoint) {
+  // Drift in finished chain A's store passes B's scoped points and is
+  // reported by the full recount of the failure point a kill raises.
+  MultiScenario ms(staggered_config());
+  std::size_t planted = 0;
+  SimTime kill_at = -1.0;
+  AuditTap tap(ms, [&](const PointSeen& p) {
+    if (planted == 0 && p.chain == kA && p.point == AuditPoint::kFinal) {
+      ms.map_outputs(kA).debug_corrupt_ledger(
+          mapred::MapOutputStore::Ledger::kNode, 0, 64);
+      planted = tap.seen.size();
+    } else if (planted > 0 && kill_at < 0.0 && p.chain == kB) {
+      kill_at = p.at + 0.5;
+      ms.sim().schedule_at(kill_at, [&ms] { ms.cluster().kill(1); });
+    }
+  });
+  const std::string report = run_to_audit_error(ms);
+  ASSERT_GT(planted, 0u);
+  ASSERT_GE(tap.seen.size(), planted + 2);
+  EXPECT_EQ(tap.seen[planted].chain, kB);  // passed
+  const PointSeen& reported = tap.seen.back();
+  EXPECT_EQ(reported.point, AuditPoint::kFailure);
+  EXPECT_EQ(reported.at, kill_at);
+  EXPECT_EQ(report.rfind(report_head(reported), 0), 0u) << report;
+}
+
+TEST(Auditor, FinishedChainDriftIsReportedAtTheEndOfTheRun) {
+  // Without a failure, drift in finished chain A's DFS books passes
+  // every point of B until B's final point ends the run.
+  MultiScenario ms(staggered_config());
+  std::size_t planted = 0;
+  AuditTap tap(ms, [&](const PointSeen& p) {
+    if (planted == 0 && p.chain == kA && p.point == AuditPoint::kFinal) {
+      ms.dfs().debug_corrupt_ledger(kA, 0, 512);
+      planted = tap.seen.size();
+    }
+  });
+  const std::string report = run_to_audit_error(ms);
+  ASSERT_GT(planted, 0u);
+  ASSERT_GE(tap.seen.size(), planted + 2);
+  for (std::size_t i = planted; i < tap.seen.size(); ++i) {
+    EXPECT_EQ(tap.seen[i].chain, kB) << "point " << i;
+  }
+  const PointSeen& reported = tap.seen.back();
+  EXPECT_EQ(reported.point, AuditPoint::kFinal);
+  EXPECT_EQ(report.rfind(report_head(reported), 0), 0u) << report;
+  EXPECT_TRUE(ms.middleware(kB).finished());
+}
+
+TEST(Auditor, RecountWorkIsLinearInChains) {
+  // Fault-free runs of identical chains (one dataset, no cache), so the
+  // blocks a scoped point walks depend only on its own chain's
+  // progress. Each point recounts one store and the last one, the end
+  // of the run, every store and the whole block table. The most blocks
+  // a scoped point walks must not grow with the chain count.
+  auto max_scoped_blocks = [](std::uint32_t chains) {
+    auto cfg = testfx::multi_config(chains);
+    cfg.dataset_ids.assign(chains, 0xDA7AULL);
+    MultiScenario ms(cfg);
+    const auto& m = ms.obs().metrics;
+    std::vector<std::uint64_t> walked;  // running total after each point
+    AuditTap tap(ms, [&](const PointSeen&) {
+      walked.push_back(m.counter("audit.dfs_blocks_recounted"));
+    });
+    for (const auto& r : ms.run(rcmp_split())) EXPECT_TRUE(r.completed);
+    const std::uint64_t points = m.counter("audit.checks");
+    EXPECT_EQ(walked.size(), points);
+    EXPECT_EQ(m.counter("audit.store_recounts"), points - 1 + chains)
+        << chains << " chains";
+    std::uint64_t most = 0;
+    for (std::size_t i = 0; i + 1 < walked.size(); ++i) {
+      most = std::max(most, walked[i] - (i > 0 ? walked[i - 1] : 0));
+    }
+    EXPECT_EQ(walked.back() - walked[walked.size() - 2],
+              ms.dfs().block_count());
+    return most;
+  };
+  const std::uint64_t at4 = max_scoped_blocks(4);
+  EXPECT_GT(at4, 0u);
+  EXPECT_EQ(max_scoped_blocks(8), at4);
 }
 
 // --- satellite regressions -------------------------------------------
