@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "common/md5.hpp"
 #include "common/rng.hpp"
 #include "mapred/map_output_store.hpp"
 #include "mapred/record.hpp"
@@ -168,6 +169,8 @@ BENCHMARK(BM_TracerEmit)->Arg(0)->Arg(1);
 // The per-record check kernel (MD5 + byte sum over one payload
 // expansion) runs in every payload-mode map and reduce UDF and in every
 // block and bucket checksum; checksum_of is its aggregate entry point.
+// The label names the lane level the CPU selected, so a timing says
+// which compiled form it measured.
 void BM_RecordChecks(benchmark::State& state) {
   constexpr std::size_t kRecords = 4096;
   Rng rng(0x5EC04D5ULL);
@@ -178,6 +181,7 @@ void BM_RecordChecks(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(kRecords));
+  state.SetLabel(Md5::lane_kernel());
 }
 BENCHMARK(BM_RecordChecks);
 

@@ -79,14 +79,14 @@ Cluster::Cluster(sim::Simulation& sim, res::FlowNetwork& net,
   failure_epoch_.assign(spec_.nodes, 0);
   cpu_factor_.assign(spec_.nodes, 1.0);
   alive_count_ = spec_.nodes;
+  list_alive_storage();
 }
 
-std::vector<NodeId> Cluster::alive_storage_nodes() const {
-  std::vector<NodeId> out;
+void Cluster::list_alive_storage() {
+  alive_storage_.clear();
   for (NodeId n = 0; n < spec_.nodes; ++n) {
-    if (storage_up_[n] && is_storage_node(n)) out.push_back(n);
+    if (storage_up_[n] && is_storage_node(n)) alive_storage_.push_back(n);
   }
-  return out;
 }
 
 std::uint32_t Cluster::alive_compute_count() const {
@@ -218,6 +218,7 @@ void Cluster::kill(NodeId n) {
   compute_up_[n] = false;
   storage_up_[n] = false;
   recount_alive();
+  list_alive_storage();
   RCMP_INFO() << "t=" << sim_.now() << " cluster: node " << n
               << " failed (" << alive_count_ << " alive)";
   dispatch_failure(ev);
@@ -253,6 +254,7 @@ void Cluster::recover(NodeId n) {
   cpu_factor_[n] = 1.0;
   net_.set_link_capacity(disk_[n], spec_.disk_bw);
   recount_alive();
+  list_alive_storage();
   if (!reachable_[n]) set_partitioned(n, false);
   RCMP_INFO() << "t=" << sim_.now() << " cluster: node " << n
               << " recovered with an empty disk (" << alive_count_

@@ -133,8 +133,11 @@ class Cluster {
   bool is_compute_node(NodeId n) const {
     return collocated() || n >= spec_.storage_nodes;
   }
-  /// Alive nodes allowed to hold DFS data.
-  std::vector<NodeId> alive_storage_nodes() const;
+  /// Alive nodes allowed to hold DFS data, ascending. Kept up to date
+  /// by kill() and recover() before any handler runs.
+  const std::vector<NodeId>& alive_storage_nodes() const {
+    return alive_storage_;
+  }
   std::uint32_t alive_compute_count() const;
 
   /// Straggler injection: slow a node's computation by `factor` (its
@@ -274,6 +277,7 @@ class Cluster {
  private:
   void dispatch_failure(const FailureEvent& ev);
   void recount_alive();
+  void list_alive_storage();
 
   struct RamKey {
     std::uint32_t ns;
@@ -304,6 +308,7 @@ class Cluster {
   std::vector<Bytes> ram_used_;
   res::LinkId fabric_ = 0;
   std::vector<bool> compute_up_, storage_up_, reachable_;
+  std::vector<NodeId> alive_storage_;  // storage_up_ && is_storage_node
   std::vector<std::uint64_t> failure_epoch_;
   std::vector<double> cpu_factor_;
   std::uint32_t alive_count_ = 0;

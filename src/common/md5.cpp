@@ -1,5 +1,9 @@
 #include "common/md5.hpp"
 
+#include <iterator>
+
+#include "common/error.hpp"
+
 namespace rcmp {
 namespace {
 
@@ -8,18 +12,22 @@ constexpr std::uint32_t kInitB = 0xefcdab89u;
 constexpr std::uint32_t kInitC = 0x98badcfeu;
 constexpr std::uint32_t kInitD = 0x10325476u;
 
-// Eight 32-bit lanes, one message per lane. Without AVX, GCC lowers
-// the 32-byte vector to pairs of SSE2 registers: two independent
-// dependency chains per step where the scalar form has one.
-using Lanes = std::uint32_t __attribute__((vector_size(32)));
-static_assert(sizeof(Lanes) == Md5::kLanes * sizeof(std::uint32_t));
+// A GCC vector of N values of T, one message per lane. (The attribute
+// on an alias template is dropped when N is dependent.)
+template <typename T, std::size_t N>
+struct LaneVec {
+  typedef T type __attribute__((vector_size(sizeof(T) * N)));
+};
+template <typename T, std::size_t N>
+using LaneVector = typename LaneVec<T, N>::type;
 
 // The four RFC 1321 step functions, over one word (W = std::uint32_t)
-// or one word per lane (W = Lanes). Each step is
+// or one word per lane (W = LaneVector<std::uint32_t, N>). Each step is
 //   a = b + ((a + round_fn(b, c, d) + m[g] + K) <<< s)
 // with K = floor(2^32 * abs(sin(i + 1))) for step i. Words pass by
 // reference and the rotate is written in place: passing or returning
-// a 32-byte vector by value has an AVX-dependent ABI (GCC -Wpsabi).
+// a 32- or 64-byte vector by value has an ISA-dependent ABI (GCC
+// -Wpsabi).
 template <typename W>
 inline void rotate_add(W& a, const W& b, const W& t, int s) {
   a = b + ((t << s) | (t >> (32 - s)));
@@ -216,23 +224,107 @@ std::uint64_t Md5::hash64(const void* data, std::size_t len) {
   return v;
 }
 
+namespace {
+
+using LaneWords = std::uint32_t[16][Md5::kLanes];
+using LaneHashes = std::uint64_t[Md5::kLanes];
+
+// The body of hash64_lanes, inlined into one function per lane level
+// so that it is compiled for that level's instruction set. Each
+// compression runs kWidth lanes: all sixteen on AVX-512F (one register,
+// with a native rotate) and AVX2 (two), two rounds of eight on the
+// baseline (two SSE2 registers each), where sixteen lanes' state alone
+// fills all sixteen registers and spills.
+template <std::size_t kWidth>
+[[gnu::always_inline]] inline void lanes_pass(const LaneWords& words,
+                                              LaneHashes& out) {
+  static_assert(Md5::kLanes % kWidth == 0);
+  using V = LaneVector<std::uint32_t, kWidth>;
+  using V64 = LaneVector<std::uint64_t, kWidth>;
+  for (std::size_t base = 0; base < Md5::kLanes; base += kWidth) {
+    V m[16];
+    for (std::size_t i = 0; i < 16; ++i) {
+      std::memcpy(&m[i], &words[i][base], sizeof(V));
+    }
+    V state[4] = {V{} + kInitA, V{} + kInitB, V{} + kInitC, V{} + kInitD};
+    compress(state, m);
+    // The padding block every 64-byte message ends with: 0x80, zeros,
+    // then the 512-bit message length.
+    V pad[16] = {};
+    pad[0] += 0x80u;
+    pad[14] += 512u;
+    compress(state, pad);
+    // hash64: digest bytes 0..7, i.e. state words a and b, little-endian.
+    const V64 h = __builtin_convertvector(state[0], V64) |
+                  (__builtin_convertvector(state[1], V64) << 32);
+    std::memcpy(&out[base], &h, sizeof(h));
+  }
+}
+
+#if RCMP_X86_LANE_LEVELS
+[[gnu::target("avx512f")]] void lanes_avx512f(const LaneWords& words,
+                                              LaneHashes& out) {
+  lanes_pass<16>(words, out);
+}
+[[gnu::target("avx2")]] void lanes_avx2(const LaneWords& words,
+                                        LaneHashes& out) {
+  lanes_pass<16>(words, out);
+}
+bool cpu_runs_avx512f() {
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("avx512f");
+}
+bool cpu_runs_avx2() {
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("avx2");
+}
+#endif
+void lanes_default(const LaneWords& words, LaneHashes& out) {
+  lanes_pass<8>(words, out);
+}
+bool cpu_runs_any() { return true; }
+
+// Widest first; the last level runs on every CPU of the target.
+constexpr Md5::LaneLevel kLevels[] = {
+#if RCMP_X86_LANE_LEVELS
+    {"avx512f", cpu_runs_avx512f},
+    {"avx2", cpu_runs_avx2},
+    {"baseline", cpu_runs_any},
+#else
+    {"generic", cpu_runs_any},
+#endif
+};
+using LanesFn = void (*)(const LaneWords&, LaneHashes&);
+constexpr LanesFn kLanesAt[] = {
+#if RCMP_X86_LANE_LEVELS
+    lanes_avx512f, lanes_avx2,
+#endif
+    lanes_default};
+static_assert(std::size(kLanesAt) == std::size(kLevels));
+
+}  // namespace
+
+std::span<const Md5::LaneLevel> Md5::lane_levels() { return kLevels; }
+
+std::size_t Md5::lane_level() {
+  static const std::size_t level = [] {
+    std::size_t l = 0;
+    while (!kLevels[l].cpu_runs()) ++l;
+    return l;
+  }();
+  return level;
+}
+
 void Md5::hash64_lanes(const std::uint32_t (&words)[16][kLanes],
                        std::uint64_t (&out)[kLanes]) {
-  Lanes m[16];
-  static_assert(sizeof(m) == sizeof(words));
-  std::memcpy(m, words, sizeof(m));
-  Lanes state[4] = {Lanes{} + kInitA, Lanes{} + kInitB, Lanes{} + kInitC,
-                    Lanes{} + kInitD};
-  compress(state, m);
-  // The padding block every 64-byte message ends with: 0x80, zeros,
-  // then the 512-bit message length.
-  Lanes pad[16] = {};
-  pad[0] += 0x80u;
-  pad[14] += 512u;
-  compress(state, pad);
-  // hash64: digest bytes 0..7, i.e. state words a and b, little-endian.
-  for (std::size_t l = 0; l < kLanes; ++l)
-    out[l] = state[0][l] | (static_cast<std::uint64_t>(state[1][l]) << 32);
+  kLanesAt[lane_level()](words, out);
+}
+
+void Md5::hash64_lanes_at(std::size_t level,
+                          const std::uint32_t (&words)[16][kLanes],
+                          std::uint64_t (&out)[kLanes]) {
+  RCMP_CHECK(level < std::size(kLevels) && kLevels[level].cpu_runs());
+  kLanesAt[level](words, out);
 }
 
 std::string Md5::to_hex(const Digest& d) {

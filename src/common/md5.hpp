@@ -9,8 +9,17 @@
 #include <array>
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <string>
 #include <string_view>
+
+// On x86-64 GCC and Clang the lane kernels are compiled once per level
+// with [[gnu::target]]; other targets compile them once, generically.
+#if defined(__x86_64__) && defined(__GNUC__)
+#define RCMP_X86_LANE_LEVELS 1
+#else
+#define RCMP_X86_LANE_LEVELS 0
+#endif
 
 namespace rcmp {
 
@@ -44,13 +53,37 @@ class Md5 {
   }
 
   /// Messages per hash64_lanes call.
-  static constexpr std::size_t kLanes = 8;
+  static constexpr std::size_t kLanes = 16;
   /// hash64 of kLanes 64-byte messages in one pass: words[i][l] is the
   /// little-endian 32-bit word i (bytes 4i..4i+3) of lane l's message,
   /// and out[l] == hash64(message l, 64). The lanes share every step, so
-  /// one pass costs about as much as two scalar 64-byte hashes.
+  /// one pass costs about as much as one scalar 64-byte hash on
+  /// AVX-512F, one and a half on AVX2 and three on the x86-64 baseline.
   static void hash64_lanes(const std::uint32_t (&words)[16][kLanes],
                            std::uint64_t (&out)[kLanes]);
+
+  /// An instruction-set level the lane kernels are compiled for.
+  struct LaneLevel {
+    const char* name;
+    bool (*cpu_runs)();
+  };
+  /// The lane kernels (hash64_lanes and the batch record checks in
+  /// mapred/record.cpp) are compiled once per level, listed widest
+  /// first: "avx512f", "avx2" and "baseline" on x86-64, and one
+  /// "generic" level elsewhere.
+  static std::span<const LaneLevel> lane_levels();
+  /// Index in lane_levels() of the widest level this CPU runs, chosen on
+  /// the first call. Every lane kernel runs at it.
+  static std::size_t lane_level();
+  /// The name of that level.
+  static const char* lane_kernel() {
+    return lane_levels()[lane_level()].name;
+  }
+  /// hash64_lanes as compiled for lane level `level`, which this CPU
+  /// must run: lets tests check every compiled form.
+  static void hash64_lanes_at(std::size_t level,
+                              const std::uint32_t (&words)[16][kLanes],
+                              std::uint64_t (&out)[kLanes]);
 
   static std::string to_hex(const Digest& d);
 

@@ -13,13 +13,24 @@
 
 namespace rcmp {
 
+/// One SplitMix64 step: advances `state` and writes its output to `out`.
+/// W is std::uint64_t, or a GCC vector of them that steps one generator
+/// per lane; vectors pass by reference, since their by-value ABI depends
+/// on the ISA level (GCC -Wpsabi).
+template <typename W>
+inline void splitmix64_step(W& state, W& out) {
+  out = (state += 0x9e3779b97f4a7c15ULL);
+  out = (out ^ (out >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  out = (out ^ (out >> 27)) * 0x94d049bb133111ebULL;
+  out ^= out >> 31;
+}
+
 /// SplitMix64: used to expand a 64-bit seed into generator state and to
 /// derive independent child seeds.
 inline std::uint64_t splitmix64(std::uint64_t& state) {
-  std::uint64_t z = (state += 0x9e3779b97f4a7c15ULL);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
+  std::uint64_t z;
+  splitmix64_step(state, z);
+  return z;
 }
 
 /// Xoshiro256** — fast, high-quality, deterministic PRNG.

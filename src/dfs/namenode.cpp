@@ -102,7 +102,7 @@ Bytes NameNode::file_size(FileId f) const {
 std::vector<cluster::NodeId> NameNode::pick_replicas(
     cluster::NodeId writer, std::uint32_t replication,
     PlacementPolicy policy) {
-  const auto alive = cluster_.alive_storage_nodes();
+  const auto& alive = cluster_.alive_storage_nodes();
   RCMP_CHECK_MSG(!alive.empty(), "no alive storage node to write to");
   if (alive.size() < replication) {
     // Degraded write: fewer replicas than requested is survivable (the

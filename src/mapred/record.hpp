@@ -64,9 +64,13 @@ inline RecordChecks record_checks(const Record& r) {
 }
 
 /// The same checks for every record of `records`, written to
-/// out[0..records.size()), Md5::kLanes records per MD5 pass. Equal to
-/// record_checks(records[i]) for every i.
+/// out[0..records.size()), Md5::kLanes records per MD5 pass at
+/// Md5::lane_level(). Equal to record_checks(records[i]) for every i.
 void record_checks(std::span<const Record> records, RecordChecks* out);
+/// The same at lane level `level` (Md5::lane_levels()), which this CPU
+/// must run: lets tests check every compiled form.
+void record_checks_at(std::size_t level, std::span<const Record> records,
+                      RecordChecks* out);
 
 /// Order-independent aggregate over a record multiset. Two datasets have
 /// equal Checksum iff (with overwhelming probability) they hold the same
@@ -116,7 +120,6 @@ class PackedChecksums {
  private:
   void run_pass();
 
-  std::uint32_t words_[16][Md5::kLanes] = {};
   Record pass_[Md5::kLanes];
   Checksum* sum_of_[Md5::kLanes];  // the sum each lane's record folds into
   std::size_t filled_ = 0;

@@ -132,7 +132,7 @@ void MultiScenario::generate_input(std::uint32_t chain) {
   // distributed evenly: one partition local to each storage node (in
   // the collocated default, every node). One input file per chain —
   // tenants do not share inputs.
-  const auto storage = cluster_.alive_storage_nodes();
+  const auto& storage = cluster_.alive_storage_nodes();
   const auto nodes = static_cast<std::uint32_t>(storage.size());
   const dfs::FileId input = dfs_.create_file(
       cfg_.chains > 1 ? "input.c" + std::to_string(chain) : "input", nodes,

@@ -209,9 +209,9 @@ TEST(Md5, PaddingEdgeDigests) {
   }
 }
 
-// Every lane of the eight-message entry equals the one-message hash64:
-// all-zero and all-0xff messages in every lane, the two alternating
-// across lanes, then seeded random messages.
+// Every lane of the Md5::kLanes-message entry equals the one-message
+// hash64: all-zero and all-0xff messages in every lane, the two
+// alternating across lanes, then seeded random messages.
 TEST(Md5, LanesEqualOneMessageHash64) {
   Rng rng(0x1A4E5ULL);
   for (int round = 0; round < 64; ++round) {

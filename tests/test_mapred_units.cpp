@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iostream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -60,7 +61,7 @@ TEST(Record, FusedChecksEqualSeparateComputations) {
   // one-lane tail, around a 64-record boundary and over the whole set;
   // so does the batch Checksum::add against per-record add().
   std::vector<std::size_t> lengths;
-  for (std::size_t n = 0; n <= 17; ++n) lengths.push_back(n);
+  for (std::size_t n = 0; n <= 2 * Md5::kLanes + 1; ++n) lengths.push_back(n);
   lengths.insert(lengths.end(), {63, 64, 65, recs.size()});
   for (std::size_t n : lengths) {
     const std::span<const Record> span(recs.data(), n);
@@ -74,6 +75,60 @@ TEST(Record, FusedChecksEqualSeparateComputations) {
       one_by_one.add(span[i]);
     }
     ASSERT_EQ(checksum_of(span), one_by_one) << "n=" << n;
+  }
+}
+
+// The lane kernels are compiled once per lane level. Every level this
+// CPU runs equals the scalar reference: the MD5 lanes over one pass of
+// payloads, and the batch checks (payload expansion) at every lane of
+// full and part-filled passes. The selected level is the widest one the
+// CPU runs.
+TEST(LaneLevels, EveryLevelTheCpuRunsEqualsTheScalarReference) {
+  const auto levels = Md5::lane_levels();
+  ASSERT_FALSE(levels.empty());
+  std::size_t widest = 0;
+  while (!levels[widest].cpu_runs()) ++widest;
+  EXPECT_STREQ(Md5::lane_kernel(), levels[widest].name);
+  std::cout << "[ lane kernel ] " << Md5::lane_kernel() << '\n';
+
+  const std::vector<Record> recs =
+      seeded_records(0x1A4E1ULL, 2 * Md5::kLanes + 1);
+  std::vector<RecordChecks> scalar;
+  for (const Record& r : recs) scalar.push_back(record_checks(r));
+  for (std::size_t level = 0; level < levels.size(); ++level) {
+    if (!levels[level].cpu_runs()) {
+      std::cout << "[ lane kernel ] " << levels[level].name
+                << " not run: this CPU lacks it\n";
+      continue;
+    }
+    std::uint32_t words[16][Md5::kLanes];
+    std::uint8_t payloads[Md5::kLanes][64];
+    for (std::size_t l = 0; l < Md5::kLanes; ++l) {
+      expand_payload(recs[l].value, payloads[l]);
+      for (std::size_t i = 0; i < 16; ++i) {
+        const std::uint8_t* p = payloads[l] + 4 * i;
+        words[i][l] = static_cast<std::uint32_t>(p[0]) |
+                      (static_cast<std::uint32_t>(p[1]) << 8) |
+                      (static_cast<std::uint32_t>(p[2]) << 16) |
+                      (static_cast<std::uint32_t>(p[3]) << 24);
+      }
+    }
+    std::uint64_t md5[Md5::kLanes];
+    Md5::hash64_lanes_at(level, words, md5);
+    for (std::size_t l = 0; l < Md5::kLanes; ++l) {
+      ASSERT_EQ(md5[l], Md5::hash64(payloads[l], 64))
+          << levels[level].name << " lane " << l;
+    }
+    for (std::size_t n = 0; n <= recs.size(); ++n) {
+      std::vector<RecordChecks> batch(n);
+      record_checks_at(level, {recs.data(), n}, batch.data());
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(batch[i].md5, scalar[i].md5)
+            << levels[level].name << " n=" << n << " i=" << i;
+        ASSERT_EQ(batch[i].byte_sum, scalar[i].byte_sum)
+            << levels[level].name << " n=" << n << " i=" << i;
+      }
+    }
   }
 }
 
@@ -202,12 +257,13 @@ TEST(PayloadStore, FileHasPayloadPerFile) {
   EXPECT_FALSE(store.file_has_payload(6));
 }
 
-// A 17-record block is two full lane passes plus a one-lane tail.
-// corrupt_record applies the chaos engine's flip to the partition's
-// middle record: with a 17-record block before the block under test and
-// 2i records after it, that is the tested block's record i.
+// A block of 2 * Md5::kLanes + 1 records is two full lane passes plus
+// a one-lane tail. corrupt_record applies the chaos engine's flip to the
+// partition's middle record: with an equal block before the block under
+// test and 2i records after it, that is the tested block's record i.
 TEST(PayloadStore, VerifyBlockCatchesAFlipInEveryLane) {
-  const std::vector<Record> recs = seeded_records(0xB10CULL, 17);
+  const std::vector<Record> recs =
+      seeded_records(0xB10CULL, 2 * Md5::kLanes + 1);
   for (std::size_t i = 0; i < recs.size(); ++i) {
     PayloadStore store;
     store.append(0, 0, recs, 1);
@@ -389,16 +445,17 @@ TEST(MapOutputStore, HeldOutputBucketStateMatchesKeyedCheck) {
             BucketState::kCorrupt);
 }
 
-// The bucket sums put() captured over a 17-record bucket (two full lane
-// passes plus a one-lane tail) catch the chaos engine's flip of any one
-// record. Re-putting the flipped output keeps the captured sums.
+// The bucket sums put() captured over a bucket of two full lane passes
+// plus a one-lane tail catch the chaos engine's flip of any one record.
+// Re-putting the flipped output keeps the captured sums.
 TEST(MapOutputStore, BucketStateCatchesAFlipInEveryLane) {
-  const std::vector<Record> recs = seeded_records(0xB0C4E7ULL, 17);
+  const std::vector<Record> recs =
+      seeded_records(0xB0C4E7ULL, 2 * Md5::kLanes + 1);
   MapOutputStore store;
   const MapOutputKey key{1, 0, 0};
   MapOutput out;
   out.node = 0;
-  out.total_bytes = 17.0 * 32;
+  out.total_bytes = static_cast<double>(recs.size()) * 32;
   out.buckets = {recs};
   store.put(key, out);
   ASSERT_EQ(store.bucket_state(key, 0), BucketState::kIntact);
@@ -435,15 +492,19 @@ std::vector<BucketState> packed_verdicts(
   return verdicts;
 }
 
-// A fetch of 0-17 segments mixing every output kind. Segment sizes
-// cycle through 0-9 records, so segments straddle the 8-lane passes at
-// every offset; each packed verdict must equal the per-output one.
+// A fetch of 0 to 2 * Md5::kLanes + 1 segments, mixing every output
+// kind. Segment sizes cycle through 0 to Md5::kLanes + 1 records,
+// more than a pass per cycle, so segments straddle the passes at every
+// offset; each packed verdict must equal the per-output one.
 TEST(MapOutputStore, PackedBucketStatesEqualPerOutputBucketState) {
   constexpr std::uint32_t kPartition = 1;
-  const std::size_t sizes[] = {2, 1, 3, 7, 5, 2, 9, 1, 4, 8, 6, 2, 0};
+  constexpr std::size_t kLanes = Md5::kLanes;
+  const std::size_t sizes[] = {2, 1, 3, kLanes - 1, 5, 2, kLanes + 1,
+                               1, 4, kLanes, 6, 2, 0};
+  constexpr std::size_t kMaxSegments = 2 * kLanes + 1;
   std::vector<MapOutput> pool;
   std::uint64_t seed = 0x9ACC3DULL;
-  for (std::size_t i = 0; i < 18; ++i) {
+  for (std::size_t i = 0; i <= kMaxSegments; ++i) {
     MapOutput out = payload_output(seed += 3, sizes[i % std::size(sizes)]);
     switch (i % 7) {
       case 1:  // the virtual-mode corruption marker
@@ -470,7 +531,7 @@ TEST(MapOutputStore, PackedBucketStatesEqualPerOutputBucketState) {
   }
   const std::size_t offsets[] = {0, 1, 4};
   for (std::size_t offset : offsets) {
-    for (std::size_t n = 0; n <= 17; ++n) {
+    for (std::size_t n = 0; n <= kMaxSegments; ++n) {
       std::vector<const MapOutput*> outs;
       for (std::size_t i = 0; i < n; ++i) {
         // Every ninth segment's output vanished mid-flight.
@@ -489,12 +550,12 @@ TEST(MapOutputStore, PackedBucketStatesEqualPerOutputBucketState) {
   }
 }
 
-// One record flipped in each lane position of a 17-record, 6-segment
-// fetch (two full passes and a one-lane tail) turns exactly its own
-// segment corrupt.
+// One record flipped in each lane position of a 6-segment fetch of two
+// full passes and a one-lane tail turns exactly its own segment corrupt.
 TEST(MapOutputStore, PackedBucketStatesCatchAFlipInEveryLane) {
   constexpr std::uint32_t kPartition = 1;
-  const std::size_t sizes[] = {3, 1, 5, 2, 4, 2};
+  constexpr std::size_t kLanes = Md5::kLanes;
+  const std::size_t sizes[] = {3, 1, kLanes - 3, 2, kLanes - 4, 2};
   std::vector<MapOutput> captured;
   std::uint64_t seed = 0xF11B5ULL;
   for (std::size_t n : sizes) captured.push_back(payload_output(seed += 3, n));
@@ -514,7 +575,7 @@ TEST(MapOutputStore, PackedBucketStatesCatchAFlipInEveryLane) {
       }
     }
   }
-  EXPECT_EQ(record, 17u);
+  EXPECT_EQ(record, 2 * kLanes + 1);
 }
 
 /// A store whose ledgers hold: disk outputs of job 1 on nodes 1 and 2
