@@ -187,20 +187,17 @@ BENCHMARK(BM_RecordChecks);
 
 // The auditor recounts every chain's map-output ledger from the stored
 // outputs at every audit point. The store has the Fig. 8c DCO shape:
-// 7 jobs x 3,600 outputs spread over 60 nodes, each output with 120
-// per-reducer sizes.
+// 7 jobs x 3,600 outputs spread over 60 nodes.
 void BM_MapOutputAudit(benchmark::State& state) {
   constexpr std::uint32_t kJobs = 7;
   constexpr std::uint32_t kOutputs = 3600;
   constexpr std::uint32_t kNodes = 60;
-  constexpr std::uint32_t kReducers = 120;
   mapred::MapOutputStore store;
   for (std::uint32_t j = 0; j < kJobs; ++j) {
     for (std::uint32_t m = 0; m < kOutputs; ++m) {
       mapred::MapOutput out;
       out.node = m % kNodes;
       out.total_bytes = 64.0 * 1024 * 1024;
-      out.per_reducer_bytes.assign(kReducers, out.total_bytes / kReducers);
       store.put({j, m / kNodes, m % kNodes}, std::move(out));
     }
   }

@@ -191,6 +191,7 @@ void Cluster::ram_clear_node(NodeId n) {
 }
 
 void Cluster::dispatch_failure(const FailureEvent& ev) {
+  ++failure_events_;
   ++failure_epoch_[ev.node];
   recount_alive();
   // Process memory dies with the process: wipe the node's RAM tier

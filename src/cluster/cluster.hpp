@@ -121,6 +121,11 @@ class Cluster {
   /// callbacks detect that the node failed again in the meantime.
   std::uint64_t failure_epoch(NodeId n) const { return failure_epoch_[n]; }
 
+  /// Failure events dispatched so far (kill, compute-only or disk-only,
+  /// any node). Bumped before the first handler runs, so every handler
+  /// of one event reads the same ordinal.
+  std::uint64_t failure_events() const { return failure_events_; }
+
   /// All currently fully-alive node ids, ascending.
   std::vector<NodeId> alive_nodes() const;
 
@@ -239,10 +244,12 @@ class Cluster {
   void ram_clear_node(NodeId n);
 
   /// A link path with aligned work weights (disk writes are penalized
-  /// by ClusterSpec::disk_write_penalty).
+  /// by ClusterSpec::disk_write_penalty), held inline: the longest path
+  /// built here (cross-rack, disk read plus disk write) is exactly
+  /// res::kMaxHops links.
   struct Path {
-    std::vector<res::LinkId> links;
-    std::vector<double> weights;
+    res::HopList<res::LinkId> links;
+    res::HopList<double> weights;
   };
 
   /// Path for a task on `n` reading from its local disk.
@@ -310,6 +317,7 @@ class Cluster {
   std::vector<bool> compute_up_, storage_up_, reachable_;
   std::vector<NodeId> alive_storage_;  // storage_up_ && is_storage_node
   std::vector<std::uint64_t> failure_epoch_;
+  std::uint64_t failure_events_ = 0;
   std::vector<double> cpu_factor_;
   std::uint32_t alive_count_ = 0;
   std::vector<KillHandler> kill_handlers_;

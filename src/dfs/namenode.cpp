@@ -297,20 +297,29 @@ const BlockInfo& NameNode::block(std::uint64_t block_id) const {
   return blocks_[block_id];
 }
 
+bool NameNode::replica_live(const BlockInfo& bi, cluster::NodeId n) const {
+  return bi.tier == cluster::StorageTier::kMemory ? cluster_.compute_alive(n)
+                                                  : cluster_.storage_alive(n);
+}
+
 std::vector<cluster::NodeId> NameNode::alive_locations(
     std::uint64_t block_id) const {
   RCMP_CHECK(block_id < blocks_.size());
   const BlockInfo& bi = blocks_[block_id];
   std::vector<cluster::NodeId> out;
   for (cluster::NodeId n : bi.replicas) {
-    // Tier-dependent liveness: a memory replica needs the *process*
-    // alive, a disk replica needs the drive serving.
-    const bool live = bi.tier == cluster::StorageTier::kMemory
-                          ? cluster_.compute_alive(n)
-                          : cluster_.storage_alive(n);
-    if (live) out.push_back(n);
+    if (replica_live(bi, n)) out.push_back(n);
   }
   return out;
+}
+
+bool NameNode::has_live_replica(std::uint64_t block_id) const {
+  RCMP_CHECK(block_id < blocks_.size());
+  const BlockInfo& bi = blocks_[block_id];
+  for (cluster::NodeId n : bi.replicas) {
+    if (replica_live(bi, n)) return true;
+  }
+  return false;
 }
 
 void NameNode::mark_corrupt(FileId f, PartitionIndex p) {
@@ -327,7 +336,7 @@ bool NameNode::partition_available(FileId f, PartitionIndex p) const {
   const PartitionInfo& part = partition(f, p);
   if (!part.written) return false;
   for (std::uint64_t b : part.blocks) {
-    if (alive_locations(b).empty()) return false;
+    if (!has_live_replica(b)) return false;
   }
   return true;
 }

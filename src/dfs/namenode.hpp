@@ -163,6 +163,8 @@ class NameNode {
   /// Alive replica locations of a block (may be empty = lost). A node
   /// counts while its storage is up, even if its compute has failed.
   std::vector<cluster::NodeId> alive_locations(std::uint64_t block_id) const;
+  /// !alive_locations(block_id).empty(), without building the list.
+  bool has_live_replica(std::uint64_t block_id) const;
 
   /// Chaos support: silently mark a partition corrupt (virtual-size
   /// mode). Readers that verify checksums detect it; availability
@@ -240,6 +242,10 @@ class NameNode {
   };
 
   OwnerBooks& books_of(std::uint32_t owner);
+
+  /// Can replica `n` of `bi` serve now? The tier decides: a memory
+  /// replica needs the process alive, a disk replica the drive up.
+  bool replica_live(const BlockInfo& bi, cluster::NodeId n) const;
 
   std::vector<cluster::NodeId> pick_replicas(cluster::NodeId writer,
                                              std::uint32_t replication,

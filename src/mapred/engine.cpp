@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <string>
+#include <type_traits>
 #include <utility>
 
 #include "common/error.hpp"
@@ -232,6 +233,14 @@ void JobRun::build_reduce_tasks() {
     for (std::uint32_t p = 0; p < spec_.num_reducers; ++p) parts[p] = p;
   }
   const std::uint32_t split = directive_.active ? directive_.split_factor : 1;
+  // Ready buffers are sized once per job, for the contributions one
+  // gathers before its threshold flush: the flush threshold (set in
+  // start()) is that fraction of a node's expected share of the maps.
+  const auto buffered = static_cast<std::size_t>(std::ceil(
+                            static_cast<double>(maps_.size()) *
+                            cfg_.shuffle_flush_fraction /
+                            std::max(1u, env_.cluster.alive_count()))) +
+                        1;
   for (std::uint32_t p : parts) {
     for (std::uint32_t s = 0; s < split; ++s) {
       ReduceTask rt;
@@ -241,6 +250,7 @@ void JobRun::build_reduce_tasks() {
       rt.unfetched = static_cast<std::uint32_t>(maps_.size());
       rt.ready_bytes.assign(env_.cluster.size(), 0.0);
       rt.ready.assign(env_.cluster.size(), {});
+      for (auto& list : rt.ready) list.reserve(buffered);
       reduces_.push_back(std::move(rt));
     }
   }
@@ -511,8 +521,7 @@ void JobRun::map_startup_done(std::uint32_t m, std::uint32_t epoch) {
 
 void JobRun::start_map_read(std::uint32_t m) {
   MapTask& t = maps_[m];
-  const auto all = env_.dfs.alive_locations(t.block_id);
-  if (all.empty()) {
+  if (!env_.dfs.has_live_replica(t.block_id)) {
     // Input replica vanished between assignment and now; the Master has
     // not yet detected the failure. Freeze — the detection handler will
     // report the data loss.
@@ -521,7 +530,8 @@ void JobRun::start_map_read(std::uint32_t m) {
     return;
   }
   const std::vector<cluster::NodeId> locs =
-      env_.detector != nullptr ? serving_locations(t.block_id) : all;
+      env_.detector != nullptr ? serving_locations(t.block_id)
+                               : env_.dfs.alive_locations(t.block_id);
   if (locs.empty()) {
     // Replicas survive but none currently serves (suspected or
     // unreachable sources). Give the slot back and retry with backoff:
@@ -662,15 +672,6 @@ void JobRun::register_map_output(std::uint32_t m) {
     RCMP_CHECK(it != staged_buckets_.end());
     out.buckets = std::move(it->second);
     staged_buckets_.erase(it);
-    out.per_reducer_bytes.resize(spec_.num_reducers);
-    for (std::uint32_t p = 0; p < spec_.num_reducers; ++p) {
-      out.per_reducer_bytes[p] =
-          static_cast<double>(out.buckets[p].size()) *
-          static_cast<double>(cfg_.record_bytes);
-    }
-  } else {
-    out.per_reducer_bytes.assign(
-        spec_.num_reducers, t.out_bytes / spec_.num_reducers);
   }
   out.tier = map_output_tier();
   const auto key = t.key(spec_.logical_id);
@@ -1058,7 +1059,14 @@ double JobRun::contrib_bytes(const MapOutput& out,
                              std::uint32_t partition) const {
   const std::uint32_t split =
       directive_.active ? directive_.split_factor : 1;
-  return out.per_reducer_bytes[partition] / split;
+  // Only payload-mode registration gives an output buckets (one per
+  // reducer partition), so they tell how its shares were sized.
+  const double share =
+      out.buckets.empty()
+          ? out.total_bytes / spec_.num_reducers
+          : static_cast<double>(out.buckets[partition].size()) *
+                static_cast<double>(cfg_.record_bytes);
+  return share / split;
 }
 
 double JobRun::contrib_bytes(std::uint32_t r, std::uint32_t m) {
@@ -1092,14 +1100,18 @@ void JobRun::flush_source(std::uint32_t r, cluster::NodeId src,
   if (!force && rt.ready_bytes[src] < flush_threshold_) return;
   if (!source_serving(src)) return;  // rewound at detection/suspicion
 
-  FetchFlow ff;
+  // The buffer is copied out, not moved: both lists keep their
+  // capacity for the next fetch.
+  const std::uint32_t slot = acquire_fetch();
+  FetchFlow& ff = fetches_[slot];
   ff.reducer = r;
   ff.reducer_epoch = rt.epoch;
   ff.src = src;
-  ff.mappers = std::move(rt.ready[src]);
+  ff.mappers.assign(rt.ready[src].begin(), rt.ready[src].end());
   ff.bytes = rt.ready_bytes[src];
   rt.ready[src].clear();
   rt.ready_bytes[src] = 0.0;
+  ff.mapper_bytes.clear();
   ff.mapper_bytes.reserve(ff.mappers.size());
   for (std::uint32_t m : ff.mappers) {
     RCMP_CHECK(rt.contrib[m] == ContribState::kReady);
@@ -1120,7 +1132,7 @@ void JobRun::flush_source(std::uint32_t r, cluster::NodeId src,
       }
     }
   }
-  const std::uint64_t token = next_fetch_token_++;
+  const std::uint64_t token = (std::uint64_t{ff.gen} << 32) | slot;
   res::FlowSpec fs;
   auto path = env_.cluster.path_transfer(src, rt.node,
                                          /*read_src=*/true,
@@ -1131,7 +1143,26 @@ void JobRun::flush_source(std::uint32_t r, cluster::NodeId src,
   fs.bytes = round_bytes(ff.bytes);
   fs.on_complete = [this, token] { fetch_done(token); };
   ff.flow = env_.net.start_flow(std::move(fs));
-  active_fetches_.emplace(token, std::move(ff));
+}
+
+std::uint32_t JobRun::acquire_fetch() {
+  std::uint32_t slot = fetch_free_;
+  if (slot != kNoFetch) {
+    fetch_free_ = fetches_[slot].next_free;
+  } else {
+    slot = static_cast<std::uint32_t>(fetches_.size());
+    fetches_.emplace_back();
+  }
+  fetches_[slot].active = true;
+  return slot;
+}
+
+void JobRun::release_fetch(std::uint32_t slot) {
+  FetchFlow& ff = fetches_[slot];
+  ff.active = false;
+  ++ff.gen;
+  ff.next_free = fetch_free_;
+  fetch_free_ = slot;
 }
 
 void JobRun::flush_ready(std::uint32_t r) {
@@ -1146,20 +1177,28 @@ void JobRun::flush_all_ready() {
 }
 
 void JobRun::fetch_done(std::uint64_t token) {
-  auto it = active_fetches_.find(token);
-  if (it == active_fetches_.end()) return;  // cancelled
-  FetchFlow ff = std::move(it->second);
-  active_fetches_.erase(it);
+  const auto slot = static_cast<std::uint32_t>(token);
+  if (slot >= fetches_.size()) return;  // released with the run
+  FetchFlow& ff = fetches_[slot];
+  if (!ff.active || ff.gen != token >> 32) return;  // cancelled
+  // Free the slot before anything below can start or cancel fetches:
+  // its lists move to the scratch (a swap, so both keep capacity).
+  const std::uint32_t r = ff.reducer;
+  const std::uint32_t reducer_epoch = ff.reducer_epoch;
+  const cluster::NodeId src = ff.src;
+  const double bytes = ff.bytes;
+  fetch_mappers_.swap(ff.mappers);
+  fetch_mapper_bytes_.swap(ff.mapper_bytes);
+  release_fetch(slot);
   if (state_ != RunState::kRunning) return;
 
-  ReduceTask& rt = reduces_[ff.reducer];
-  if (rt.epoch != ff.reducer_epoch) return;
+  ReduceTask& rt = reduces_[r];
+  if (rt.epoch != reducer_epoch) return;
   RCMP_CHECK(rt.state == ReduceState::kFetching);
 
   if (env_.obs != nullptr) {
     env_.obs->tracer.emit(env_.sim.now(), obs::EventType::kShuffleFetch, 0,
-                          ff.src, spec_.logical_id, ff.reducer, ff.bytes,
-                          env_.chain_tag);
+                          src, spec_.logical_id, r, bytes, env_.chain_tag);
   }
 
   // In payload mode every segment's output is looked up and its bucket
@@ -1169,14 +1208,14 @@ void JobRun::fetch_done(std::uint64_t token) {
   // (handle_corrupt_map_output runs after it). Virtual segments carry
   // no records and keep the per-segment marker check: a pre-pass over
   // them measured slower on dco_late_kill.
-  const std::size_t n = ff.mappers.size();
+  const std::size_t n = fetch_mappers_.size();
   const bool packed = cfg_.verify_on_read && payload_mode_;
   if (packed) {
     fetch_outs_.resize(n);
     fetch_pending_.resize(n);
     fetch_verdicts_.resize(n);
     for (std::size_t i = 0; i < n; ++i) {
-      fetch_outs_[i] = output_of(ff.mappers[i]);
+      fetch_outs_[i] = output_of(fetch_mappers_[i]);
     }
     MapOutputStore::bucket_states(fetch_outs_, rt.partition, fetch_pending_,
                                   fetch_verdicts_);
@@ -1188,7 +1227,7 @@ void JobRun::fetch_done(std::uint64_t token) {
   // mapper re-execution, the rest land normally.
   std::vector<std::uint32_t> corrupt;
   for (std::size_t i = 0; i < n; ++i) {
-    const std::uint32_t m = ff.mappers[i];
+    const std::uint32_t m = fetch_mappers_[i];
     RCMP_CHECK(rt.contrib[m] == ContribState::kInflight);
     const MapOutput* out = packed ? fetch_outs_[i] : output_of(m);
     if (out == nullptr) {
@@ -1218,7 +1257,7 @@ void JobRun::fetch_done(std::uint64_t token) {
     RCMP_CHECK(rt.unfetched > 0);
     --rt.unfetched;
     const double seg_bytes =
-        i < ff.mapper_bytes.size() ? ff.mapper_bytes[i] : 0.0;
+        i < fetch_mapper_bytes_.size() ? fetch_mapper_bytes_[i] : 0.0;
     rt.fetched_bytes += seg_bytes;
     result_.shuffle_bytes += seg_bytes;
     // Each mapper's output is a separate transfer; per-transfer latency
@@ -1240,16 +1279,14 @@ void JobRun::fetch_done(std::uint64_t token) {
     }
   }
   for (std::uint32_t m : corrupt) handle_corrupt_map_output(m);
-  maybe_start_reduce_compute(ff.reducer);
+  maybe_start_reduce_compute(r);
 }
 
 void JobRun::cancel_fetches_of_reducer(std::uint32_t r) {
-  for (auto it = active_fetches_.begin(); it != active_fetches_.end();) {
-    if (it->second.reducer == r) {
-      env_.net.cancel_flow(it->second.flow);
-      it = active_fetches_.erase(it);
-    } else {
-      ++it;
+  for (std::uint32_t s = 0; s < fetches_.size(); ++s) {
+    if (fetches_[s].active && fetches_[s].reducer == r) {
+      env_.net.cancel_flow(fetches_[s].flow);
+      release_fetch(s);
     }
   }
 }
@@ -1584,7 +1621,7 @@ JobRun::FailureOutcome JobRun::on_detected_failure(cluster::NodeId n) {
   for (const MapTask& t : maps_) {
     if (t.state == MapState::kDone || t.state == MapState::kReused)
       continue;
-    if (env_.dfs.alive_locations(t.block_id).empty()) {
+    if (!env_.dfs.has_live_replica(t.block_id)) {
       RCMP_WARN() << "t=" << env_.sim.now() << " job " << spec_.name
                   << ": map input block lost — aborting";
       return FailureOutcome::kNeedsAbort;
@@ -1680,20 +1717,18 @@ void JobRun::arm_retry_poke(SimTime when) {
 }
 
 void JobRun::halt_fetches_from(cluster::NodeId n) {
-  for (auto it = active_fetches_.begin(); it != active_fetches_.end();) {
-    if (it->second.src == n) {
-      env_.net.cancel_flow(it->second.flow);
-      ReduceTask& rt = reduces_[it->second.reducer];
-      if (rt.epoch == it->second.reducer_epoch) {
-        for (std::uint32_t m : it->second.mappers) {
-          if (rt.contrib[m] == ContribState::kInflight)
-            rt.contrib[m] = ContribState::kWaiting;
-        }
+  for (std::uint32_t s = 0; s < fetches_.size(); ++s) {
+    const FetchFlow& ff = fetches_[s];
+    if (!ff.active || ff.src != n) continue;
+    env_.net.cancel_flow(ff.flow);
+    ReduceTask& rt = reduces_[ff.reducer];
+    if (rt.epoch == ff.reducer_epoch) {
+      for (std::uint32_t m : ff.mappers) {
+        if (rt.contrib[m] == ContribState::kInflight)
+          rt.contrib[m] = ContribState::kWaiting;
       }
-      it = active_fetches_.erase(it);
-    } else {
-      ++it;
     }
+    release_fetch(s);
   }
 
   // Buffered-but-unfetched contributions whose source went away rewind
@@ -1974,9 +2009,31 @@ void JobRun::teardown_all_work() {
   for (std::uint32_t r = 0; r < reduces_.size(); ++r) {
     cancel_task_work(reduces_[r]);
   }
-  for (auto& [token, ff] : active_fetches_) env_.net.cancel_flow(ff.flow);
-  active_fetches_.clear();
+  for (std::uint32_t s = 0; s < fetches_.size(); ++s) {
+    if (!fetches_[s].active) continue;
+    env_.net.cancel_flow(fetches_[s].flow);
+    release_fetch(s);
+  }
   local_pending_.release();
+}
+
+void JobRun::release_shuffle_state() {
+  const auto release = [](auto& v) {
+    std::remove_reference_t<decltype(v)>().swap(v);
+  };
+  for (ReduceTask& rt : reduces_) {
+    release(rt.contrib);
+    release(rt.ready_bytes);
+    release(rt.ready);
+    release(rt.gathered);
+  }
+  release(fetches_);
+  fetch_free_ = kNoFetch;
+  release(fetch_mappers_);
+  release(fetch_mapper_bytes_);
+  release(fetch_outs_);
+  release(fetch_pending_);
+  release(fetch_verdicts_);
 }
 
 void JobRun::discard_partial_results() {
@@ -2005,6 +2062,7 @@ void JobRun::cancel() {
   }
   teardown_all_work();
   discard_partial_results();
+  release_shuffle_state();
   // Torn-down tasks can no longer release their slots one by one —
   // hand everything still held back to the arbiter.
   env_.slots.release_all();
@@ -2059,6 +2117,7 @@ void JobRun::finish(JobResult::Status status) {
           TaskTiming{false, r, rt.node, rt.start_time, rt.end_time});
     }
   }
+  release_shuffle_state();
   RCMP_INFO() << "t=" << env_.sim.now() << " job " << spec_.name
               << " (ordinal " << ordinal_ << ") finished in "
               << result_.duration() << "s";

@@ -242,7 +242,8 @@ class JobRun {
     /// (n_transfers * shuffle_tail_latency / fetch_parallelism).
     SimTime tail_debt = 0.0;
     // Ready-buffer per source node: bytes and mapper indices awaiting a
-    // coalesced fetch flow.
+    // coalesced fetch flow. Sized once per job (build_reduce_tasks); a
+    // fetch copies a buffer out, so every buffer keeps its capacity.
     std::vector<double> ready_bytes;                 // [node]
     std::vector<std::vector<std::uint32_t>> ready;   // [node] -> mappers
 
@@ -286,10 +287,17 @@ class JobRun {
     sim::EventId ev = sim::kInvalidEvent;
   };
 
+  /// One coalesced fetch in flight, in a slot of the fetch slab. Its
+  /// token is (gen << 32) | slot; freeing the slot bumps gen, so a
+  /// cancelled fetch's token never matches again. The lists keep their
+  /// capacity across reuses of the slot.
   struct FetchFlow {
     std::uint32_t reducer = 0;
     std::uint32_t reducer_epoch = 0;
     cluster::NodeId src = cluster::kInvalidNode;
+    std::uint32_t gen = 0;
+    std::uint32_t next_free = 0;  // free-list link while !active
+    bool active = false;
     std::vector<std::uint32_t> mappers;
     /// Per-mapper share of `bytes`, parallel to `mappers` — needed when
     /// one mapper of a coalesced fetch is invalidated mid-flight.
@@ -384,6 +392,10 @@ class JobRun {
   /// Buffer `m`'s contribution to `rt` at its (serving) output's node.
   void mark_contrib_ready(ReduceTask& rt, std::uint32_t m,
                           const MapOutput& out);
+  /// A reduce task's share of `out` for initial partition `partition`:
+  /// the bucket's records times record_bytes for an output registered
+  /// with buckets (payload mode), total_bytes / num_reducers otherwise,
+  /// divided among the partition's splits.
   double contrib_bytes(const MapOutput& out, std::uint32_t partition) const;
   double contrib_bytes(std::uint32_t r, std::uint32_t m);
   /// Start one coalesced fetch of `r`'s buffer at `src`: any non-empty
@@ -394,6 +406,14 @@ class JobRun {
   void flush_all_ready();
   void fetch_done(std::uint64_t token);
   void cancel_fetches_of_reducer(std::uint32_t r);
+  /// A free fetch-slab slot, marked active.
+  std::uint32_t acquire_fetch();
+  /// Return `slot` to the free list; its token stops matching.
+  void release_fetch(std::uint32_t slot);
+  /// Free the per-task shuffle state (contributions, ready buffers,
+  /// gathered records) and the fetch slab. The middleware keeps every
+  /// run until its chain ends, so a stopped run gives these back.
+  void release_shuffle_state();
 
   // --- reduce task state machine --------------------------------------
   void reduce_startup_done(std::uint32_t r, std::uint32_t epoch);
@@ -498,13 +518,21 @@ class JobRun {
   std::vector<std::uint8_t> map_node_banned_;
   std::uint32_t rr_cursor_ = 0;  // round-robin node cursor
 
-  std::unordered_map<std::uint64_t, FetchFlow> active_fetches_;
-  /// fetch_done's packed verification scratch (payload mode), one entry
-  /// per segment, kept so a fetch allocates nothing once it has grown.
+  /// Fetch slab: in-flight fetches by slot, free slots linked through
+  /// FetchFlow::next_free from fetch_free_. Loops over in-flight
+  /// fetches visit slots in ascending order.
+  std::vector<FetchFlow> fetches_;
+  static constexpr std::uint32_t kNoFetch = 0xffffffffu;
+  std::uint32_t fetch_free_ = kNoFetch;
+  /// fetch_done's scratch, kept so a fetch allocates nothing once it
+  /// has grown: the finished fetch's lists (swapped out of its slot)
+  /// and the packed verification state (payload mode), one entry per
+  /// segment.
+  std::vector<std::uint32_t> fetch_mappers_;
+  std::vector<double> fetch_mapper_bytes_;
   std::vector<const MapOutput*> fetch_outs_;
   std::vector<MapOutputStore::PendingBucket> fetch_pending_;
   std::vector<BucketState> fetch_verdicts_;
-  std::uint64_t next_fetch_token_ = 1;
   double flush_threshold_ = 0.0;
   bool payload_mode_ = false;
   /// Payload mode: UDF outputs staged between map compute and the end of

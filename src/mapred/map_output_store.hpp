@@ -51,8 +51,6 @@ struct MapOutput {
   /// Layout version of the input partition when the mapper ran.
   std::uint64_t input_layout_version = 0;
   double total_bytes = 0.0;
-  /// Bytes destined to each initial-granularity reducer partition.
-  std::vector<double> per_reducer_bytes;
   /// Payload mode: records bucketed per initial reducer partition.
   std::vector<std::vector<Record>> buckets;
   /// Per-bucket checksums captured at registration; verified by reducers

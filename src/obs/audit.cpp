@@ -67,10 +67,11 @@ void Auditor::run_checks(AuditPoint point, std::uint32_t chain) {
   RCMP_CHECK_MSG(chain < refs_.tenant_stores.size(),
                  "audit point of unknown chain " << chain);
   // A failure can move any chain's books, and the last final point ends
-  // the run: both recount everything. Other points recount the books
-  // of the chain that reached them.
+  // the run: the first point of a failure event and the end of the run
+  // recount everything. Other points, the later points of one failure
+  // event included, recount the books of the chain that reached them.
   const bool everything =
-      point == AuditPoint::kFailure ||
+      (point == AuditPoint::kFailure && note_failure_point()) ||
       (point == AuditPoint::kFinal && note_final(chain));
   std::vector<std::string> violations;
   check_event_queue(&violations);
@@ -116,6 +117,14 @@ void Auditor::check_event_queue(std::vector<std::string>* violations) {
     violations->push_back(os.str());
   }
   last_audit_now_ = sim.now();
+}
+
+bool Auditor::note_failure_point() {
+  if (refs_.cluster == nullptr) return true;
+  const std::uint64_t event = refs_.cluster->failure_events();
+  if (event == recounted_failure_event_) return false;
+  recounted_failure_event_ = event;
+  return true;
 }
 
 bool Auditor::note_final(std::uint32_t chain) {

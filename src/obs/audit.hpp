@@ -15,14 +15,16 @@
 // job-boundary and final points recount that chain's map-output store
 // and the DFS blocks of the files it owns (against its DFS
 // sub-ledgers), and check that each node's DFS totals equal the sum of
-// every owner's sub-ledgers. Every failure point, and the last chain's
-// final point (the end of the run), recount every store and the whole
-// block table. Drift in a ledger entry is therefore reported at the
-// first of: its owning chain's next audit point, the next failure
-// point, or the end of the run; drift in the shared DFS totals at the
-// next point of any chain. A fault-free run's recount work grows
-// linearly with its chain count (`audit.store_recounts`,
-// `audit.dfs_blocks_recounted`).
+// every owner's sub-ledgers. The first point of each failure event (every
+// chain raises one), and the last chain's final point (the end of the
+// run), recount every store and the whole block table; the event's
+// later points recount the reaching chain's books, as job boundaries
+// do, so one event over C chains recounts C + (C - 1) stores. Drift in
+// a ledger entry is therefore reported at the first of: its owning
+// chain's next audit point, the next failure event, or the end of the
+// run; drift in the shared DFS totals at the next point of any chain.
+// Recount work grows linearly with the chain count
+// (`audit.store_recounts`, `audit.dfs_blocks_recounted`).
 // The event-queue, flow-network, storage-gauge and RAM cross-checks run
 // in full at every point.
 //
@@ -61,9 +63,9 @@ class Auditor {
     dfs::NameNode* dfs = nullptr;
     /// Every chain's persisted-map-output store, indexed by chain id
     /// (the DFS owner id of the chain's files). A chain's own audit
-    /// points recount its store, failure points and the end of the run
-    /// recount them all, and the storage-gauge cross-check sums them
-    /// all at every point.
+    /// points recount its store, the first point of a failure event and
+    /// the end of the run recount them all, and the storage-gauge
+    /// cross-check sums them all at every point.
     std::vector<mapred::MapOutputStore*> tenant_stores;
     /// Payload store (payload-backed runs): enables the result-cache
     /// differential cross-check. Null = virtual mode, hit checks skip.
@@ -165,6 +167,9 @@ class Auditor {
   /// Storage checks, recounting `chain`'s ledgers or kEveryChain's.
   void check_storage(std::uint32_t chain,
                      std::vector<std::string>* violations);
+  /// Record a failure point; true for the first point of its failure
+  /// event (Cluster::failure_events), or always without a cluster.
+  bool note_failure_point();
   /// Record that `chain` reached its final point; true when it was the
   /// last chain to, which ends the run.
   bool note_final(std::uint32_t chain);
@@ -181,6 +186,8 @@ class Auditor {
   std::uint64_t cache_hit_checks_ = 0;
   std::uint64_t journal_replay_checks_ = 0;
   SimTime last_audit_now_ = 0.0;
+  /// The failure event whose first point recounted everything.
+  std::uint64_t recounted_failure_event_ = 0;
   /// Chains that reached their final point, by chain id.
   std::vector<bool> finished_;
   std::size_t unfinished_ = 0;

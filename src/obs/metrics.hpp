@@ -11,7 +11,9 @@
 // byte-identical JSON.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -46,13 +48,23 @@ class MetricsRegistry {
   std::string dump_json() const;
 
  private:
+  /// Hashes names and views alike, so lookups take the caller's
+  /// string_view as is and build a std::string only for a new series.
+  struct NameHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view name) const {
+      return std::hash<std::string_view>{}(name);
+    }
+  };
+
   template <class T>
   struct Series {
     std::vector<std::pair<std::string, T>> items;  // insertion order
-    std::unordered_map<std::string, std::size_t> index;
+    std::unordered_map<std::string, std::size_t, NameHash, std::equal_to<>>
+        index;
     bool empty() const { return items.empty(); }
     T& at(std::string_view name) {
-      if (auto it = index.find(std::string(name)); it != index.end()) {
+      if (auto it = index.find(name); it != index.end()) {
         return items[it->second].second;
       }
       index.emplace(std::string(name), items.size());
@@ -60,7 +72,7 @@ class MetricsRegistry {
       return items.back().second;
     }
     const T* find(std::string_view name) const {
-      auto it = index.find(std::string(name));
+      auto it = index.find(name);
       return it == index.end() ? nullptr : &items[it->second].second;
     }
   };

@@ -4,11 +4,19 @@
 #include <cmath>
 #include <limits>
 #include <sstream>
+#include <string>
 #include <utility>
 
 #include "common/error.hpp"
 
 namespace rcmp::res {
+
+namespace detail {
+void hop_list_overflow() {
+  throw InvariantError("hop list overflow: a path may cross at most " +
+                       std::to_string(kMaxHops) + " links");
+}
+}  // namespace detail
 
 namespace {
 // A flow is considered drained when fewer than this many bytes remain;
@@ -134,7 +142,6 @@ FlowId FlowNetwork::start_flow(FlowSpec spec) {
   Flow& f = flows_[slot];
   FlowHot& h = hot_[slot];
   f.active = true;
-  f.hops.resize(spec.path.size());
   f.tail_latency = spec.tail_latency;
   f.start_seq = next_start_seq_++;
   f.on_complete = std::move(spec.on_complete);
@@ -143,14 +150,14 @@ FlowId FlowNetwork::start_flow(FlowSpec spec) {
   h.updated_at = sim_.now();
   h.stamp = 0;
   h.visit_epoch = 0;
-  for (std::size_t i = 0; i < f.hops.size(); ++i) {
-    Hop& hp = f.hops[i];
-    hp.link = spec.path[i];
-    hp.weight = spec.weights.empty() ? 1.0 : spec.weights[i];
-    Link& link = links_[hp.link];
-    hp.pos = static_cast<std::uint32_t>(link.flows.size());
+  for (std::size_t i = 0; i < spec.path.size(); ++i) {
+    const LinkId l = spec.path[i];
+    const double weight = spec.weights.empty() ? 1.0 : spec.weights[i];
+    Link& link = links_[l];
+    f.hops.push_back(
+        Hop{l, static_cast<std::uint32_t>(link.flows.size()), weight});
     link.flows.push_back(LinkRef{slot, static_cast<std::uint32_t>(i)});
-    link.weighted_streams += hp.weight;
+    link.weighted_streams += weight;
   }
   ++active_count_;
   // The flow connects every link on its path, so this is one component.

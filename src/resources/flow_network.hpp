@@ -51,6 +51,7 @@
 
 #include "common/indexed_heap.hpp"
 #include "common/units.hpp"
+#include "resources/hop_list.hpp"
 #include "sim/simulation.hpp"
 
 namespace rcmp::res {
@@ -72,14 +73,14 @@ struct LinkSpec {
 };
 
 struct FlowSpec {
-  std::vector<LinkId> path;  // may be empty: pure-latency flow
+  HopList<LinkId> path;  // may be empty: pure-latency flow
   /// Per-link work weights, aligned with `path` (empty = all 1.0).
   /// A flow moving at rate r consumes weight*r of a link's capacity —
   /// e.g. DFS writes cost more disk work per byte than reads (journal,
   /// filesystem overhead; the paper cites Shafer et al. [22] on HDFS
   /// write inefficiency). All flows frozen at a bottleneck get equal
   /// byte rates; weights scale their capacity consumption.
-  std::vector<double> weights;
+  HopList<double> weights;
   Bytes bytes = 0;
   /// Latency appended after the last byte (the paper's SLOW SHUFFLE adds
   /// a 10 s delay "at the end of each shuffle transfer").
@@ -169,9 +170,8 @@ class FlowNetwork {
     double weighted_streams = 0.0;
     std::uint32_t visit_epoch = 0;  // component-BFS mark
   };
-  /// One hop of a flow's path, packed contiguously so a reallocation
-  /// pass chases a single allocation per flow instead of three
-  /// (path / weights / link_pos).
+  /// One hop of a flow's path. A flow keeps its hops inline, so a
+  /// reallocation pass reads them from the flow's own slab entry.
   struct Hop {
     LinkId link;
     std::uint32_t pos;  // index into link.flows for this occurrence
@@ -179,7 +179,7 @@ class FlowNetwork {
   };
   /// Cold per-flow state: touched at start/cancel/completion only.
   struct Flow {
-    std::vector<Hop> hops;
+    HopList<Hop> hops;
     SimTime tail_latency = 0.0;
     std::uint64_t start_seq = 0;  // monotonic; deterministic tie-break
     std::uint32_t gen = 0;

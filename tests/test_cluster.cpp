@@ -2,6 +2,8 @@
 // and failure-trace generation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "cluster/cluster.hpp"
 #include "cluster/failure_injector.hpp"
 #include "cluster/failure_trace.hpp"
@@ -132,6 +134,43 @@ TEST(Cluster, CrossRackTransferUsesRackLinks) {
   // disk, up, rack_up, fabric, rack_down, down, disk.
   ASSERT_EQ(p.links.size(), 7u);
   EXPECT_EQ(p.links[3], c.fabric());
+}
+
+TEST(Cluster, LongestPathFitsTheHopList) {
+  // Every path the cluster builds, over every endpoint pair, end flag
+  // and storage tier, fits the inline hop list; the cross-rack one that
+  // reads the source disk and writes the destination disk fills it.
+  Fixture f;
+  auto spec = small_spec();
+  spec.nodes = 6;
+  spec.racks = 3;
+  spec.ram_bytes = 1ULL << 30;
+  Cluster c(f.sim, f.net, spec);
+  const StorageTier tiers[] = {StorageTier::kDisk, StorageTier::kMemory};
+  std::size_t longest = 0;
+  for (NodeId src = 0; src < spec.nodes; ++src) {
+    for (NodeId dst = 0; dst < spec.nodes; ++dst) {
+      for (int ends = 0; ends < 4; ++ends) {
+        for (StorageTier st : tiers) {
+          for (StorageTier dt : tiers) {
+            const auto p = c.path_transfer(src, dst, (ends & 1) != 0,
+                                           (ends & 2) != 0, st, dt);
+            EXPECT_EQ(p.links.size(), p.weights.size());
+            longest = std::max(longest, p.links.size());
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(longest, res::kMaxHops);
+  const auto p = c.path_transfer(0, 1, true, true);  // rack 0 -> rack 1
+  ASSERT_EQ(p.links.size(), res::kMaxHops);
+  EXPECT_EQ(p.links[0], c.disk(0));
+  EXPECT_EQ(p.links[1], c.nic_up(0));
+  EXPECT_EQ(p.links[3], c.fabric());
+  EXPECT_EQ(p.links[5], c.nic_down(1));
+  EXPECT_EQ(p.links[6], c.disk(1));
+  EXPECT_DOUBLE_EQ(p.weights[6], spec.disk_write_penalty);
 }
 
 TEST(Cluster, SameNodeTransferCrossesDiskTwice) {

@@ -112,15 +112,21 @@ TEST(Engine, ReplicationSlowsJob) {
 
 TEST(Engine, RegistersPersistedMapOutputs) {
   EngineFixture f;
-  f.run(f.make_spec(4));
+  const auto& run = f.run(f.make_spec(4));
   EXPECT_EQ(f.outputs.size(), 20u);  // 5 nodes x 4 blocks
-  // Each output is on an alive node with per-reducer shares summing to
-  // the total.
-  const MapOutput* out = f.outputs.find({0, 0, 0});
-  ASSERT_NE(out, nullptr);
-  double sum = 0;
-  for (double b : out->per_reducer_bytes) sum += b;
-  EXPECT_NEAR(sum, out->total_bytes, 1.0);
+  // Each output is on an alive node, and in a fault-free run the
+  // reducers' shares of the outputs shuffle every output byte once.
+  double total = 0;
+  for (std::uint32_t p = 0; p < 5; ++p) {
+    for (std::uint32_t b = 0; b < 4; ++b) {
+      const MapOutput* out = f.outputs.find({0, p, b});
+      ASSERT_NE(out, nullptr) << p << "/" << b;
+      EXPECT_TRUE(f.cluster.alive(out->node));
+      total += out->total_bytes;
+    }
+  }
+  EXPECT_GT(total, 0.0);
+  EXPECT_NEAR(run.result().shuffle_bytes, total, 1.0);
 }
 
 TEST(Engine, PayloadIdentityJobPreservesRecords) {

@@ -14,7 +14,7 @@ struct Net {
   FlowNetwork net{sim};
 };
 
-FlowSpec flow(std::vector<LinkId> path, Bytes bytes,
+FlowSpec flow(HopList<LinkId> path, Bytes bytes,
               std::function<void()> done = nullptr) {
   FlowSpec fs;
   fs.path = std::move(path);
@@ -226,7 +226,7 @@ TEST(FlowNetwork, ManyFlowsAllComplete) {
   int done = 0;
   Rng rng(4);
   for (int i = 0; i < 500; ++i) {
-    std::vector<LinkId> path{links[rng.below(20)], links[rng.below(20)]};
+    HopList<LinkId> path{links[rng.below(20)], links[rng.below(20)]};
     n.net.start_flow(flow(std::move(path), 100 + rng.below(10000),
                           [&] { ++done; }));
   }
@@ -270,6 +270,30 @@ TEST(FlowNetwork, RejectsBadSpecs) {
   fs.weights = {1.0, 2.0};  // misaligned
   fs.bytes = 10;
   EXPECT_THROW(n.net.start_flow(std::move(fs)), InvariantError);
+}
+
+TEST(FlowNetwork, PathLongerThanTheHopListIsAnError) {
+  Net n;
+  const auto l = n.net.add_link({"l", 100.0, 0.0});
+  FlowSpec fs;
+  for (std::size_t i = 0; i < kMaxHops; ++i) {
+    fs.path.push_back(l);
+    fs.weights.push_back(1.0);
+  }
+  // One hop too many is refused, and the list keeps what it held.
+  EXPECT_THROW(fs.path.push_back(l), InvariantError);
+  EXPECT_THROW(fs.weights.push_back(1.0), InvariantError);
+  EXPECT_THROW((HopList<LinkId>{l, l, l, l, l, l, l, l}), InvariantError);
+  ASSERT_EQ(fs.path.size(), kMaxHops);
+  ASSERT_EQ(fs.weights.size(), kMaxHops);
+  // A flow of exactly kMaxHops hops runs: crossing one link at every
+  // hop, it moves at a kMaxHops-th of the capacity.
+  double done_at = -1.0;
+  fs.bytes = 1000;
+  fs.on_complete = [&] { done_at = n.sim.now(); };
+  n.net.start_flow(std::move(fs));
+  n.sim.run();
+  EXPECT_NEAR(done_at, 10.0 * kMaxHops, 1e-6);
 }
 
 TEST(FlowNetwork, ReallocationCountIsBounded) {
@@ -377,7 +401,7 @@ TEST(FlowNetwork, CancelChurnKeepsNetworkConsistent) {
   int cancelled = 0;
   std::vector<FlowId> ids;
   for (int i = 0; i < 200; ++i) {
-    std::vector<LinkId> path{links[rng.below(8)], links[rng.below(8)]};
+    HopList<LinkId> path{links[rng.below(8)], links[rng.below(8)]};
     ids.push_back(n.net.start_flow(
         flow(std::move(path), 1000 + rng.below(5000), [&] { ++done; })));
   }

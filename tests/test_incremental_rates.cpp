@@ -115,8 +115,8 @@ TEST(IncrementalRates, MatchesFullRecomputeOnRandomTopologies) {
       rf.weights.assign(rf.path.size(), 1.0);
       if (rng.below(4) == 0) rf.weights.back() = 1.4;  // write penalty
       FlowSpec fs;
-      fs.path = rf.path;
-      fs.weights = rf.weights;
+      for (LinkId l : rf.path) fs.path.push_back(l);
+      for (double w : rf.weights) fs.weights.push_back(w);
       fs.bytes = 100000 + rng.below(900000);
       ids.push_back(net.start_flow(std::move(fs)));
       specs.push_back(std::move(rf));

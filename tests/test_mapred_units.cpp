@@ -300,7 +300,6 @@ MapOutput make_output(cluster::NodeId node, std::uint64_t layout = 0) {
   out.node = node;
   out.input_layout_version = layout;
   out.total_bytes = 1000.0;
-  out.per_reducer_bytes = {500.0, 500.0};
   return out;
 }
 

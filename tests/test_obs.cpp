@@ -437,6 +437,55 @@ TEST(Auditor, RecountWorkIsLinearInChains) {
   EXPECT_EQ(max_scoped_blocks(8), at4);
 }
 
+TEST(Auditor, FailureEventRecountsEveryStoreOnlyAtItsFirstPoint) {
+  // Every chain raises a failure point per failure event. The event's
+  // first point recounts every store and the whole block table, its
+  // later points only their own chain's books: C + (C - 1) stores per
+  // event. Two failures at one instant are two events.
+  constexpr std::uint32_t kChains = 4;
+  MultiScenario ms(testfx::multi_config(kChains));
+  const auto& m = ms.obs().metrics;
+  std::vector<std::uint64_t> stores;  // recounted, per failure point
+  std::vector<std::uint64_t> blocks;  // walked, per failure point
+  std::vector<std::uint64_t> table;   // block-table size, per point
+  std::uint64_t stores_before = 0;
+  std::uint64_t blocks_before = 0;
+  bool failed = false;
+  AuditTap tap(ms, [&](const PointSeen& p) {
+    const std::uint64_t s = m.counter("audit.store_recounts");
+    const std::uint64_t b = m.counter("audit.dfs_blocks_recounted");
+    if (p.point == AuditPoint::kFailure) {
+      stores.push_back(s - stores_before);
+      blocks.push_back(b - blocks_before);
+      table.push_back(ms.dfs().block_count());
+    } else if (!failed && p.point == AuditPoint::kJobBoundary) {
+      failed = true;
+      ms.sim().schedule_at(p.at + 0.5, [&ms] {
+        ms.cluster().fail_compute(1);
+        ms.cluster().fail_compute(2);
+      });
+    }
+    stores_before = s;
+    blocks_before = b;
+  });
+  for (const auto& r : ms.run(rcmp_split())) EXPECT_TRUE(r.completed);
+  ASSERT_EQ(stores.size(), 2 * kChains);
+  for (std::uint32_t event = 0; event < 2; ++event) {
+    std::uint64_t total = 0;
+    for (std::uint32_t c = 0; c < kChains; ++c) {
+      const std::size_t i = event * kChains + c;
+      total += stores[i];
+      EXPECT_EQ(stores[i], c == 0 ? kChains : 1u) << "event " << event;
+      if (c == 0) {
+        EXPECT_EQ(blocks[i], table[i]) << "event " << event;
+      } else {
+        EXPECT_LT(blocks[i], blocks[event * kChains]) << "event " << event;
+      }
+    }
+    EXPECT_EQ(total, kChains + (kChains - 1)) << "event " << event;
+  }
+}
+
 // --- satellite regressions -------------------------------------------
 
 // evict_upto used to accumulate freed bytes in a double; the integer
