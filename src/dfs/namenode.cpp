@@ -302,15 +302,14 @@ bool NameNode::replica_live(const BlockInfo& bi, cluster::NodeId n) const {
                                                   : cluster_.storage_alive(n);
 }
 
-std::vector<cluster::NodeId> NameNode::alive_locations(
-    std::uint64_t block_id) const {
+void NameNode::alive_locations(std::uint64_t block_id,
+                               std::vector<cluster::NodeId>* out) const {
   RCMP_CHECK(block_id < blocks_.size());
   const BlockInfo& bi = blocks_[block_id];
-  std::vector<cluster::NodeId> out;
+  out->clear();
   for (cluster::NodeId n : bi.replicas) {
-    if (replica_live(bi, n)) out.push_back(n);
+    if (replica_live(bi, n)) out->push_back(n);
   }
-  return out;
 }
 
 bool NameNode::has_live_replica(std::uint64_t block_id) const {

@@ -160,10 +160,12 @@ class NameNode {
   bool partition_available(FileId f, PartitionIndex p) const;
   bool file_available(FileId f) const;
 
-  /// Alive replica locations of a block (may be empty = lost). A node
+  /// Alive replica locations of a block into `out`, cleared first (empty
+  /// = lost); a caller keeps one list's capacity across reads. A node
   /// counts while its storage is up, even if its compute has failed.
-  std::vector<cluster::NodeId> alive_locations(std::uint64_t block_id) const;
-  /// !alive_locations(block_id).empty(), without building the list.
+  void alive_locations(std::uint64_t block_id,
+                       std::vector<cluster::NodeId>* out) const;
+  /// alive_locations() would be non-empty; builds no list.
   bool has_live_replica(std::uint64_t block_id) const;
 
   /// Chaos support: silently mark a partition corrupt (virtual-size

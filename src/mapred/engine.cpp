@@ -529,10 +529,12 @@ void JobRun::start_map_read(std::uint32_t m) {
     t.read_src = cluster::kInvalidNode;
     return;
   }
-  const std::vector<cluster::NodeId> locs =
-      env_.detector != nullptr ? serving_locations(t.block_id)
-                               : env_.dfs.alive_locations(t.block_id);
-  if (locs.empty()) {
+  if (env_.detector != nullptr) {
+    serving_locations(t.block_id, &read_locs_);
+  } else {
+    env_.dfs.alive_locations(t.block_id, &read_locs_);
+  }
+  if (read_locs_.empty()) {
     // Replicas survive but none currently serves (suspected or
     // unreachable sources). Give the slot back and retry with backoff:
     // either the partition heals or detection replaces the replica.
@@ -544,7 +546,7 @@ void JobRun::start_map_read(std::uint32_t m) {
     }
     return;
   }
-  const cluster::NodeId src = pick_read_source(locs, t.node);
+  const cluster::NodeId src = pick_read_source(read_locs_, t.node);
   t.read_src = src;
   t.state = MapState::kReading;
   const std::uint32_t epoch = t.epoch;
@@ -801,8 +803,8 @@ void JobRun::dup_startup_done(std::uint32_t m, std::uint64_t token) {
   dup->ev = sim::kInvalidEvent;
 
   const MapTask& t = maps_[m];
-  const auto locs = env_.dfs.alive_locations(t.block_id);
-  if (locs.empty()) {
+  env_.dfs.alive_locations(t.block_id, &read_locs_);
+  if (read_locs_.empty()) {
     cancel_duplicate(m);
     return;
   }
@@ -810,7 +812,7 @@ void JobRun::dup_startup_done(std::uint32_t m, std::uint64_t token) {
   // replica than the straggling original — the benefit extra replicas
   // buy speculation. With one replica the duplicate has no choice but
   // the same (possibly slow) source.
-  const cluster::NodeId src = pick_read_source(locs, dup->node);
+  const cluster::NodeId src = pick_read_source(read_locs_, dup->node);
   dup->state = MapState::kReading;
   res::FlowSpec fs;
   auto path = env_.cluster.path_transfer(src, dup->node,
@@ -1665,13 +1667,11 @@ bool JobRun::source_serving(cluster::NodeId n) const {
   return !env_.detector->suspected(n);
 }
 
-std::vector<cluster::NodeId> JobRun::serving_locations(
-    std::uint64_t block_id) const {
-  std::vector<cluster::NodeId> out;
-  for (cluster::NodeId l : env_.dfs.alive_locations(block_id)) {
-    if (source_serving(l)) out.push_back(l);
-  }
-  return out;
+void JobRun::serving_locations(std::uint64_t block_id,
+                               std::vector<cluster::NodeId>* out) const {
+  env_.dfs.alive_locations(block_id, out);
+  std::erase_if(*out,
+                [this](cluster::NodeId l) { return !source_serving(l); });
 }
 
 bool JobRun::charge_attempt(std::uint32_t& attempts, SimTime& not_before) {

@@ -340,9 +340,9 @@ class JobRun {
   cluster::NodeId pick_read_source(
       const std::vector<cluster::NodeId>& locs, cluster::NodeId reader);
   /// alive_locations() filtered by source_serving() — replicas the
-  /// master would actually read from right now.
-  std::vector<cluster::NodeId> serving_locations(
-      std::uint64_t block_id) const;
+  /// master would actually read from right now — into `out`.
+  void serving_locations(std::uint64_t block_id,
+                         std::vector<cluster::NodeId>* out) const;
   void map_startup_done(std::uint32_t m, std::uint32_t epoch);
   /// Dispatch (or re-dispatch after a source failover) the input read of
   /// a map task holding a slot. Freezes on total loss; re-queues with
@@ -517,6 +517,8 @@ class JobRun {
   /// (EngineConfig::recompute_map_node_limit, the Fig. 14 knob).
   std::vector<std::uint8_t> map_node_banned_;
   std::uint32_t rr_cursor_ = 0;  // round-robin node cursor
+  /// A map input read's replica list, kept across reads.
+  std::vector<cluster::NodeId> read_locs_;
 
   /// Fetch slab: in-flight fetches by slot, free slots linked through
   /// FetchFlow::next_free from fetch_free_. Loops over in-flight

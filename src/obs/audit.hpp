@@ -39,6 +39,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -138,6 +139,13 @@ class Auditor {
   /// have computed — a fingerprint collision or invalidation bug —
   /// and throws AuditError. Skipped in virtual (no-payload) mode.
   /// Normally invoked through Observability::check_cache_hit.
+  ///
+  /// The replay is memoized: the same UDF prefix over the same source
+  /// records yields the same checksum, so each distinct (source
+  /// records, prefix) pair is replayed once (`audit.cache_hit_replays`).
+  /// Every hit still gathers its source records, compares them element
+  /// by element against the memo's, and checksums the cached file's
+  /// current bytes.
   void check_cache_hit(const CacheHitCheck& chc);
 
   /// Cache-hit differential checks that passed.
@@ -176,6 +184,29 @@ class Auditor {
   [[noreturn]] void fail(AuditPoint point,
                          const std::vector<std::string>& violations) const;
 
+  /// One position of a replayed UDF prefix, as CacheHitCheck carries it.
+  struct PrefixStep {
+    const mapred::MapUdf* mapper;
+    const mapred::ReduceUdf* reducer;
+    std::uint64_t salt;
+    bool operator==(const PrefixStep&) const = default;
+  };
+  /// A UDF prefix replayed over one source, and the checksum it gave.
+  struct ReplayedPrefix {
+    std::vector<PrefixStep> steps;
+    mapred::Checksum expected;
+  };
+  /// One distinct source record sequence (a copy, in partition order)
+  /// and every prefix replayed over it.
+  struct ReplaySource {
+    std::vector<mapred::Record> records;
+    std::vector<ReplayedPrefix> prefixes;
+  };
+  /// The expected checksum of `chc`'s prefix over `source`, replaying it
+  /// only when the memo has no entry for the pair.
+  mapred::Checksum expected_prefix_checksum(
+      const CacheHitCheck& chc, std::span<const mapred::Record> source);
+
   Refs refs_;
   Observability& obs_;
   std::uint64_t checks_run_ = 0;
@@ -193,6 +224,10 @@ class Auditor {
   std::size_t unfinished_ = 0;
   /// Ledger digests captured at suspicion time, by suspected node.
   std::unordered_map<cluster::NodeId, std::string> suspicion_digests_;
+  /// Cache-hit replay memo, one entry per distinct source.
+  std::vector<ReplaySource> replay_memo_;
+  /// The current hit's source records (capacity kept across hits).
+  std::vector<mapred::Record> hit_source_;
 };
 
 }  // namespace rcmp::obs

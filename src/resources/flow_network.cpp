@@ -1,6 +1,7 @@
 #include "resources/flow_network.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <sstream>
@@ -31,6 +32,7 @@ LinkId FlowNetwork::add_link(LinkSpec spec) {
   RCMP_CHECK(spec.contention_alpha >= 0.0);
   links_.push_back(Link{std::move(spec), {}});
   links_.back().flows.reserve(4);
+  comp_mask_.resize((links_.size() + 63) / 64);
   return static_cast<LinkId>(links_.size() - 1);
 }
 
@@ -74,6 +76,17 @@ Rate FlowNetwork::link_effective_capacity(LinkId id) const {
   if (excess <= 1.0) return l.spec.capacity;
   return l.spec.capacity /
          (1.0 + l.spec.contention_alpha * std::log(excess));
+}
+
+Rate FlowNetwork::effective_capacity(LinkId l) {
+  Link& link = links_[l];
+  if (link.eff_streams != link.weighted_streams ||
+      link.eff_base != link.spec.capacity) {
+    link.eff_streams = link.weighted_streams;
+    link.eff_base = link.spec.capacity;
+    link.eff = link_effective_capacity(l);
+  }
+  return link.eff;
 }
 
 std::size_t FlowNetwork::link_active_flows(LinkId id) const {
@@ -356,6 +369,7 @@ void FlowNetwork::reallocate_one_component(LinkId seed) {
   std::size_t comp_flow_count = 0;
   links_[seed].visit_epoch = epoch_;
   comp_links_.push_back(seed);
+  comp_mask_[seed / 64] |= std::uint64_t{1} << (seed % 64);
   for (std::size_t qi = 0; qi < comp_links_.size(); ++qi) {
     // Note: comp_links_ grows during iteration (it is the BFS queue).
     const Link& link = links_[comp_links_[qi]];
@@ -379,23 +393,32 @@ void FlowNetwork::reallocate_one_component(LinkId seed) {
         if (links_[hp.link].visit_epoch != epoch_) {
           links_[hp.link].visit_epoch = epoch_;
           comp_links_.push_back(hp.link);
+          comp_mask_[hp.link / 64] |= std::uint64_t{1} << (hp.link % 64);
         }
       }
     }
   }
   flows_reallocated_ += comp_flow_count;
-  if (comp_flow_count == 0) return;
 
   // Ascending link order keeps bottleneck tie-breaking identical to a
-  // full recompute (which scans links 0..n-1).
-  std::sort(comp_links_.begin(), comp_links_.end());
+  // full recompute (which scans links 0..n-1). Reading the BFS's mask
+  // back also clears it for the next pass.
+  comp_links_.clear();
+  for (std::size_t w = 0; w < comp_mask_.size(); ++w) {
+    for (std::uint64_t bits = std::exchange(comp_mask_[w], 0); bits != 0;
+         bits &= bits - 1) {
+      comp_links_.push_back(
+          static_cast<LinkId>(w * 64 + std::countr_zero(bits)));
+    }
+  }
+  if (comp_flow_count == 0) return;
 
   if (scratch_rem_.size() < links_.size()) {
     scratch_rem_.resize(links_.size());
     scratch_unfrozen_.resize(links_.size());
   }
   for (LinkId l : comp_links_) {
-    scratch_rem_[l] = link_effective_capacity(l);
+    scratch_rem_[l] = effective_capacity(l);
     scratch_unfrozen_[l] = links_[l].weighted_streams;
   }
 
@@ -547,14 +570,17 @@ void FlowNetwork::on_timer() {
   // drains; all complete at `now`, so no progress is lost between
   // passes.
   finish_cbs_.clear();
+  finish_order_.clear();
   while (!batch_.empty()) {
     seed_links_.clear();
     for (std::uint32_t slot : batch_) {
       Flow& f = flows_[slot];
       for (const Hop& hp : f.hops) seed_links_.push_back(hp.link);
       detach_from_links(slot);
+      finish_order_.emplace_back(
+          f.start_seq, static_cast<std::uint32_t>(finish_cbs_.size()));
       finish_cbs_.push_back(
-          FinishCb{f.start_seq, f.tail_latency, std::move(f.on_complete)});
+          FinishCb{f.tail_latency, std::move(f.on_complete)});
       release_slot(slot);
     }
     reallocate(seed_links_);
@@ -562,12 +588,11 @@ void FlowNetwork::on_timer() {
   }
 
   // Deterministic callback order: flow start order, regardless of the
-  // order completions were discovered in.
-  std::sort(finish_cbs_.begin(), finish_cbs_.end(),
-            [](const FinishCb& a, const FinishCb& b) {
-              return a.start_seq < b.start_seq;
-            });
-  for (auto& fc : finish_cbs_) {
+  // order completions were discovered in. Start sequence numbers are
+  // unique, so sorting the keys alone fixes the order.
+  std::sort(finish_order_.begin(), finish_order_.end());
+  for (const auto& entry : finish_order_) {
+    FinishCb& fc = finish_cbs_[entry.second];
     if (fc.cb) sim_.schedule_after(fc.tail, std::move(fc.cb));
   }
   finish_cbs_.clear();

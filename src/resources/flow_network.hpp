@@ -47,6 +47,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/indexed_heap.hpp"
@@ -169,6 +170,11 @@ class FlowNetwork {
     std::vector<LinkRef> flows;  // active flow occurrences on this link
     double weighted_streams = 0.0;
     std::uint32_t visit_epoch = 0;  // component-BFS mark
+    /// effective_capacity() memo, current while weighted_streams and
+    /// spec.capacity equal the values it was computed at.
+    double eff_streams = -1.0;
+    Rate eff_base = 0.0;
+    Rate eff = 0.0;
   };
   /// One hop of a flow's path. A flow keeps its hops inline, so a
   /// reallocation pass reads them from the flow's own slab entry.
@@ -224,7 +230,6 @@ class FlowNetwork {
     void operator()(const CandEntry&, std::uint32_t) const {}
   };
   struct FinishCb {
-    std::uint64_t start_seq;
     SimTime tail;
     std::function<void()> cb;
   };
@@ -244,6 +249,11 @@ class FlowNetwork {
     const double r = h.remaining - h.rate * (t - h.updated_at);
     return r > 0.0 ? r : 0.0;
   }
+
+  /// link_effective_capacity(l) through the link's memo: a
+  /// reallocation pass re-reads every component link, most of them
+  /// unchanged since the last pass.
+  Rate effective_capacity(LinkId l);
 
   bool cand_valid(const CandEntry& c) const {
     const Flow& f = flows_[c.slot];
@@ -293,11 +303,16 @@ class FlowNetwork {
   std::vector<double> scratch_rem_;       // per-link residual capacity
   std::vector<double> scratch_unfrozen_;  // per-link unfrozen weight
   std::vector<LinkId> comp_links_;
+  /// Component links as a bitmask over link ids, set by the BFS and
+  /// read back (and cleared) in ascending order.
+  std::vector<std::uint64_t> comp_mask_;
   std::vector<std::uint32_t> round_;        // flows frozen this fill round
   std::vector<std::uint32_t> batch_;        // flows drained, per timer
   std::vector<std::uint32_t> drained_now_;  // drained during last realloc
   std::vector<LinkId> seed_links_;          // reallocation seeds
   std::vector<FinishCb> finish_cbs_;
+  /// (start_seq, finish_cbs_ index): the callbacks' firing order.
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> finish_order_;
   /// Links whose components changed this instant but have not been
   /// reallocated yet; flushed by `flush_event_` before time advances.
   std::vector<LinkId> dirty_links_;

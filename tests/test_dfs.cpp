@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "dfs/namenode.hpp"
 
@@ -158,7 +159,8 @@ TEST(NameNode, ReplicatedPartitionSurvivesSingleFailure) {
   EXPECT_TRUE(reports.empty());
   EXPECT_TRUE(f.dfs.partition_available(id, 0));
   // The surviving replica is the only alive location.
-  const auto locs = f.dfs.alive_locations(f.dfs.partition(id, 0).blocks[0]);
+  std::vector<cluster::NodeId> locs;
+  f.dfs.alive_locations(f.dfs.partition(id, 0).blocks[0], &locs);
   ASSERT_EQ(locs.size(), 1u);
   EXPECT_EQ(locs[0], plan[0].replicas[1]);
 }

@@ -17,8 +17,10 @@
 //      code path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -26,6 +28,8 @@
 #include "core/policy.hpp"
 #include "core/result_cache.hpp"
 #include "fixtures.hpp"
+#include "mapred/record.hpp"
+#include "obs/obs.hpp"
 #include "workloads/multi_scenario.hpp"
 #include "workloads/scenario.hpp"
 
@@ -337,6 +341,116 @@ TEST(ResultCacheE2E, DistinctDatasetsNeverCrossHit) {
   EXPECT_GT(ms.obs().metrics.counter("cache.publishes"), 0u);
   EXPECT_FALSE(ms.final_output_checksum(0) == ms.final_output_checksum(1));
   EXPECT_EQ(ms.obs().metrics.counter("audit.violations"), 0u);
+}
+
+// --- the auditor's eager oracle --------------------------------------
+
+/// Four chains over one dataset, admitted one at a time, run to the end
+/// with every cache-hit check captured on its way to the auditor. Not
+/// copyable: the hook wrapper points back at the scene.
+struct OracleScene {
+  OracleScene() : ms(cache_multi_config(/*chains=*/4)) {
+    obs::Observability& o = ms.obs();
+    o.cache_hit_hook = [this, audit = o.cache_hit_hook](
+                           const obs::CacheHitCheck& chc) {
+      checks.push_back(chc);
+      audit(chc);
+    };
+    results = ms.run(cache_strategy());
+  }
+  OracleScene(const OracleScene&) = delete;
+  OracleScene& operator=(const OracleScene&) = delete;
+
+  std::uint64_t counter(const char* name) {
+    return ms.obs().metrics.counter(name);
+  }
+  /// The check's source records, in partition order.
+  std::vector<mapred::Record> source(const obs::CacheHitCheck& chc) {
+    std::vector<mapred::Record> records;
+    for (std::uint32_t p = 0; p < ms.dfs().num_partitions(chc.input_file);
+         ++p) {
+      const auto span = ms.payloads().partition_records(chc.input_file, p);
+      records.insert(records.end(), span.begin(), span.end());
+    }
+    return records;
+  }
+  /// Check `chc` again and return the AuditError's report ("" = passed).
+  std::string recheck(const obs::CacheHitCheck& chc) {
+    try {
+      ms.obs().check_cache_hit(chc);
+    } catch (const obs::AuditError& e) {
+      return e.what();
+    }
+    return "";
+  }
+
+  MultiScenario ms;
+  std::vector<obs::CacheHitCheck> checks;
+  std::vector<core::ChainResult> results;
+};
+
+TEST(CacheHitOracle, ReplaysOncePerDistinctSourceAndPrefix) {
+  OracleScene s;
+  for (const auto& r : s.results) ASSERT_TRUE(r.completed);
+  ASSERT_GE(s.checks.size(), 2u);
+  // The distinct (source records, UDF prefix) pairs, from the evidence.
+  using Pair = std::tuple<std::vector<mapred::Record>,
+                          std::vector<const mapred::MapUdf*>,
+                          std::vector<const mapred::ReduceUdf*>,
+                          std::vector<std::uint64_t>>;
+  std::vector<Pair> distinct;
+  for (const obs::CacheHitCheck& chc : s.checks) {
+    Pair pair{s.source(chc), chc.mappers, chc.reducers, chc.udf_salts};
+    if (std::find(distinct.begin(), distinct.end(), pair) == distinct.end()) {
+      distinct.push_back(std::move(pair));
+    }
+  }
+  EXPECT_EQ(s.counter("audit.cache_hit_checks"), s.checks.size());
+  EXPECT_EQ(s.counter("audit.cache_hit_replays"), distinct.size());
+  EXPECT_LT(s.counter("audit.cache_hit_replays"),
+            s.counter("audit.cache_hit_checks"));
+
+  // An intact hit checked again is served from the memo, and passes.
+  const std::uint64_t replays = s.counter("audit.cache_hit_replays");
+  EXPECT_EQ(s.recheck(s.checks.front()), "");
+  EXPECT_EQ(s.counter("audit.cache_hit_replays"), replays);
+  EXPECT_EQ(s.counter("audit.cache_hit_checks"), s.checks.size());
+}
+
+TEST(CacheHitOracle, CorruptCachedBytesFailWithoutAReplay) {
+  OracleScene s;
+  ASSERT_FALSE(s.checks.empty());
+  const obs::CacheHitCheck hit = s.checks.front();
+  const std::uint64_t replays = s.counter("audit.cache_hit_replays");
+  ASSERT_TRUE(s.ms.payloads().corrupt_record(hit.cached_file, 0));
+  EXPECT_NE(s.recheck(hit).find("served wrong bytes"), std::string::npos);
+  EXPECT_EQ(s.counter("audit.cache_hit_replays"), replays);
+}
+
+TEST(CacheHitOracle, ChangedSourceRecordsReplayAndFail) {
+  // Same input file, one record changed: the memo is keyed by the
+  // records, so the prefix is replayed over the new ones and disagrees
+  // with the (intact) cached bytes.
+  OracleScene s;
+  ASSERT_FALSE(s.checks.empty());
+  const obs::CacheHitCheck hit = s.checks.front();
+  const std::uint64_t replays = s.counter("audit.cache_hit_replays");
+  ASSERT_TRUE(s.ms.payloads().corrupt_record(hit.input_file, 0));
+  EXPECT_NE(s.recheck(hit).find("served wrong bytes"), std::string::npos);
+  EXPECT_EQ(s.counter("audit.cache_hit_replays"), replays + 1);
+}
+
+TEST(CacheHitOracle, AShorterPrefixOverTheSameSourceReplays) {
+  OracleScene s;
+  ASSERT_FALSE(s.checks.empty());
+  obs::CacheHitCheck hit = s.checks.front();
+  ASSERT_GE(hit.mappers.size(), 2u);
+  const std::uint64_t replays = s.counter("audit.cache_hit_replays");
+  hit.mappers.pop_back();
+  hit.reducers.pop_back();
+  hit.udf_salts.pop_back();
+  EXPECT_NE(s.recheck(hit).find("served wrong bytes"), std::string::npos);
+  EXPECT_EQ(s.counter("audit.cache_hit_replays"), replays + 1);
 }
 
 // --- policy gating ---------------------------------------------------
