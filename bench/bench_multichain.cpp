@@ -4,7 +4,8 @@
 // on one shared 8-node cluster. Reported per point: host wall time (the
 // regression-gated cost of simulating the multi-tenant machinery),
 // simulated makespan, mean per-chain completion time and the
-// scheduler's grant/denial counters. With the cluster saturated, the
+// scheduler's grant, denial, poke and kick counters (kick_passes: the
+// kicks that ran a placement pass). With the cluster saturated, the
 // makespan should grow roughly linearly in the chain count while the
 // scheduler keeps every chain live (grants on all chains, bounded
 // denial overhead).
@@ -79,6 +80,10 @@ BenchRecord scale_point(std::uint32_t chains) {
       "denials", static_cast<double>(ms.scheduler().total_denials()));
   rec.counters.emplace_back(
       "pokes", static_cast<double>(ms.scheduler().pokes_run()));
+  rec.counters.emplace_back(
+      "kicks", static_cast<double>(ms.scheduler().kicks_run()));
+  rec.counters.emplace_back(
+      "kick_passes", static_cast<double>(ms.scheduler().kick_passes()));
   std::printf("%8u chains  wall %8.1f ms  makespan %9.1f s  mean %9.1f s"
               "  grants %7llu  denials %6llu\n",
               chains, wall / 1e6, makespan,

@@ -49,8 +49,8 @@ Middleware::Middleware(mapred::Env env, ChainSpec chain,
   // the scheduler kicks the current run whenever capacity frees up.
   env_.chain_tag = sched->chain_tag(tenant_.chain_id);
   tag_ = sched->metric_prefix(tenant_.chain_id);
-  sched->set_kick(tenant_.chain_id, [this] {
-    if (current_ != nullptr && current_->running()) current_->poke();
+  sched->set_kick(tenant_.chain_id, [this](mapred::OpenSlots open) {
+    return current_ != nullptr && current_->poke(open);
   });
   if (strategy_.policy != nullptr && !strategy_.policy->inert()) {
     // Per-chain clone: adaptive state never leaks across the chains of

@@ -168,6 +168,8 @@ class Middleware {
   void run(std::function<void(const ChainResult&)> on_complete);
 
   bool finished() const { return chain_done_; }
+  /// The job the scheduler's kick forwards to; nullptr before the first.
+  mapred::JobRun* current_run() { return current_; }
   const ChainResult& result() const { return result_; }
 
   dfs::FileId output_file(std::uint32_t logical) const {

@@ -13,6 +13,7 @@ namespace rcmp::core {
 namespace {
 
 constexpr int kMap = static_cast<int>(mapred::SlotKind::kMap);
+constexpr int kReduce = static_cast<int>(mapred::SlotKind::kReduce);
 constexpr int kNumKinds = 2;
 constexpr double kShareEps = 1e-9;
 
@@ -59,7 +60,7 @@ mapred::SlotBroker& ChainScheduler::broker(std::uint32_t chain) {
 }
 
 void ChainScheduler::set_kick(std::uint32_t chain,
-                              std::function<void()> kick) {
+                              std::function<bool(mapred::OpenSlots)> kick) {
   chains_.at(chain).kick = std::move(kick);
 }
 
@@ -257,6 +258,7 @@ void ChainScheduler::node_up(cluster::NodeId n) {
 }
 
 void ChainScheduler::sync_free(cluster::NodeId n) {
+  ++free_version_;
   for (int k = 0; k < kNumKinds; ++k) {
     if (free_[n][k] > 0) {
       free_nodes_.set(k, n);
@@ -264,6 +266,17 @@ void ChainScheduler::sync_free(cluster::NodeId n) {
       free_nodes_.clear(k, n);
     }
   }
+}
+
+mapred::OpenSlots ChainScheduler::open_slots() const {
+  auto open = [this](std::uint32_t k) {
+    for (std::uint32_t n = free_nodes_.next(k, 0); n != BitRows::kNone;
+         n = free_nodes_.next(k, n + 1)) {
+      if (detector_ == nullptr || detector_->schedulable(n)) return true;
+    }
+    return false;
+  };
+  return {open(kMap), open(kReduce)};
 }
 
 cluster::NodeId ChainScheduler::next_free(cluster::NodeId from,
@@ -297,24 +310,35 @@ void ChainScheduler::run_pokes() {
   // Offer freed capacity in weighted-fair order: lowest virtual time
   // first (ties by id for determinism). Kicked chains immediately try
   // to schedule tasks, which routes back through may_acquire/acquire.
-  std::vector<std::uint32_t> order;
-  order.reserve(chains_.size());
+  offer_order_.clear();
   for (std::uint32_t i = 0; i < chains_.size(); ++i) {
     const ChainState& cs = chains_[i];
     if (cs.admitted && (cs.hungry[0] || cs.hungry[1]) && cs.kick) {
-      order.push_back(i);
+      offer_order_.push_back(i);
     }
   }
-  std::sort(order.begin(), order.end(),
+  std::sort(offer_order_.begin(), offer_order_.end(),
             [this](std::uint32_t a, std::uint32_t b) {
               if (chains_[a].vtime != chains_[b].vtime) {
                 return chains_[a].vtime < chains_[b].vtime;
               }
               return a < b;
             });
-  for (const std::uint32_t c : order) {
+  // The open kinds go with every kick, so a chain that could only be
+  // denied skips its placement pass (JobRun::poke). They are worked out
+  // once per round and again whenever a kick moved the inventory.
+  mapred::OpenSlots open = open_slots();
+  std::uint64_t open_at = free_version_;
+  for (const std::uint32_t c : offer_order_) {
     // Re-check: an earlier kick this round may have finished the chain.
-    if (chains_[c].admitted && chains_[c].kick) chains_[c].kick();
+    ChainState& cs = chains_[c];
+    if (!cs.admitted || !cs.kick) continue;
+    if (open_at != free_version_) {
+      open = open_slots();
+      open_at = free_version_;
+    }
+    ++kicks_;
+    if (cs.kick(open)) ++kick_passes_;
   }
 }
 

@@ -119,8 +119,10 @@ class ChainScheduler {
   }
 
   /// Capacity-freed callback: typically forwards to the chain's current
-  /// JobRun::poke().
-  void set_kick(std::uint32_t chain, std::function<void()> kick);
+  /// JobRun::poke(open), given the slot kinds the offer could grant, and
+  /// returns whether a placement pass ran.
+  void set_kick(std::uint32_t chain,
+                std::function<bool(mapred::OpenSlots)> kick);
 
   /// Schedule the chain's start `delay` seconds from now; `start` fires
   /// when admission allows (immediately at that time, or when a running
@@ -168,6 +170,9 @@ class ChainScheduler {
   std::uint32_t evictions(std::uint32_t chain) const;
   std::uint64_t total_denials() const { return denials_; }
   std::uint64_t pokes_run() const { return pokes_; }
+  /// Kicks the pokes delivered, and those that ran a placement pass.
+  std::uint64_t kicks_run() const { return kicks_; }
+  std::uint64_t kick_passes() const { return kick_passes_; }
   Bytes evicted_bytes() const { return evicted_bytes_; }
   /// Free + held slots of kind k over alive compute nodes.
   std::uint32_t alive_slots(mapred::SlotKind k) const {
@@ -215,7 +220,7 @@ class ChainScheduler {
     double weight = 1.0;
     mapred::MapOutputStore* store = nullptr;
     std::unique_ptr<Client> client;
-    std::function<void()> kick;
+    std::function<bool(mapred::OpenSlots)> kick;
     std::function<void()> start;
     bool admitted = false;
     bool done = false;
@@ -254,6 +259,8 @@ class ChainScheduler {
   /// Re-derive n's bits in free_nodes_ from free_[n]; called after
   /// every change of free_[n].
   void sync_free(cluster::NodeId n);
+  /// The kinds some node has a free slot of that the detector admits.
+  mapred::OpenSlots open_slots() const;
   void recount_alive_slots();
 
   /// Coalesced zero-delay event offering freed capacity to hungry
@@ -288,9 +295,15 @@ class ChainScheduler {
   std::uint32_t peak_active_ = 0;
   std::vector<std::uint32_t> waiting_;  // FIFO admission queue
   bool poke_pending_ = false;
+  /// Bumped by every sync_free: open_slots() is stale once it moves.
+  std::uint64_t free_version_ = 0;
+  /// run_pokes' offer order, kept across pokes.
+  std::vector<std::uint32_t> offer_order_;
 
   mutable std::uint64_t denials_ = 0;
   std::uint64_t pokes_ = 0;
+  std::uint64_t kicks_ = 0;
+  std::uint64_t kick_passes_ = 0;
   Bytes evicted_bytes_ = 0;
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <utility>
 
 #include "common/error.hpp"
 #include "common/log.hpp"
@@ -204,7 +205,7 @@ std::vector<NameNode::PlannedBlock> NameNode::plan_write(
 }
 
 void NameNode::commit_partition(FileId f, PartitionIndex p,
-                                const std::vector<PlannedBlock>& blocks) {
+                                std::vector<PlannedBlock> blocks) {
   RCMP_CHECK(file_exists(f));
   RCMP_CHECK(p < files_[f].partitions.size());
   PartitionInfo& part = files_[f].partitions[p];
@@ -216,10 +217,10 @@ void NameNode::commit_partition(FileId f, PartitionIndex p,
       books.used_per_node[n] += bi.size;
     }
   };
-  for (const auto& pb : blocks) {
+  for (auto& pb : blocks) {
     BlockInfo bi;
     bi.size = pb.size;
-    bi.replicas = pb.replicas;
+    bi.replicas = std::move(pb.replicas);
     bi.tier = pb.tier;
     bi.owner = owner;
     const std::uint64_t id = blocks_.size();

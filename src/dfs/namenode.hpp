@@ -131,9 +131,11 @@ class NameNode {
                                        Bytes size, PlacementPolicy policy);
 
   /// Commit planned blocks into a partition. Multiple commits accumulate
-  /// (reducer splits each commit their sub-partition).
+  /// (reducer splits each commit their sub-partition). The replica
+  /// lists move into the block table: pass a plan the caller no longer
+  /// needs as an rvalue, and a plan it keeps is copied.
   void commit_partition(FileId f, PartitionIndex p,
-                        const std::vector<PlannedBlock>& blocks);
+                        std::vector<PlannedBlock> blocks);
 
   /// Drop a partition's blocks (before a recomputation overwrites it).
   /// preserve_layout: the caller guarantees the upcoming rewrite will

@@ -206,6 +206,7 @@ void JobRun::build_map_tasks() {
   for (std::uint32_t m = 0; m < maps_.size(); ++m) {
     if (maps_[m].state == MapState::kPending) pending_maps_.push_back(m);
   }
+  map_scan_ = {};
   RCMP_CHECK_MSG(!maps_.empty(), "job has no input blocks");
 }
 
@@ -258,6 +259,7 @@ void JobRun::build_reduce_tasks() {
   pending_reduces_.clear();
   for (std::uint32_t r = 0; r < reduces_.size(); ++r)
     pending_reduces_.push_back(r);
+  reduce_scan_ = {};
 }
 
 // ---------------------------------------------------------------------
@@ -271,14 +273,39 @@ void JobRun::schedule_tasks() {
   publish_demand();
 }
 
+bool JobRun::poke(OpenSlots open) {
+  if (state_ != RunState::kRunning) return false;
+  // A pass places a task only on a free slot may_acquire admits, and a
+  // closed kind has none: there every slot check says no without
+  // counting a denial. What else a pass does is the backoff scan
+  // (detector mode), a no-op while both scan records hold, and the
+  // locality-index sync, which the next pass redoes from the current
+  // state. So with nothing placeable and the scans idle, skipping the
+  // pass changes nothing but the demand it would have published.
+  const bool placeable = (open.map && !pending_maps_.empty()) ||
+                         (open.reduce && !pending_reduces_.empty());
+  if (placeable || (env_.detector != nullptr && !backoff_scans_idle())) {
+    schedule_tasks();
+    return true;
+  }
+  publish_demand();
+  return false;
+}
+
+bool JobRun::backoff_scans_idle() const {
+  const SimTime now = env_.sim.now();
+  return (pending_maps_.empty() || map_scan_.holds(now)) &&
+         (pending_reduces_.empty() || reduce_scan_.holds(now));
+}
+
 void JobRun::schedule_maps() {
   if (pending_maps_.empty()) return;
 
   // Detector mode: tasks under a retry-backoff gate sit out this pass;
   // one poke event re-runs scheduling at the earliest gate expiry.
   std::vector<std::uint32_t> deferred;
+  SimTime wake = std::numeric_limits<double>::max();
   if (env_.detector != nullptr) {
-    SimTime wake = std::numeric_limits<double>::max();
     std::size_t w = 0;
     for (std::size_t i = 0; i < pending_maps_.size(); ++i) {
       const std::uint32_t m = pending_maps_[i];
@@ -344,12 +371,13 @@ void JobRun::schedule_maps() {
 
   for (const std::uint32_t m : deferred) append_pending(m);
   if (pending_maps_.empty()) local_pending_.release();
+  map_scan_ = {true, wake};
 }
 
 void JobRun::schedule_reduces() {
   std::vector<std::uint32_t> deferred;
+  SimTime wake = std::numeric_limits<double>::max();
   if (env_.detector != nullptr && !pending_reduces_.empty()) {
-    SimTime wake = std::numeric_limits<double>::max();
     std::size_t w = 0;
     for (std::size_t i = 0; i < pending_reduces_.size(); ++i) {
       const std::uint32_t r = pending_reduces_[i];
@@ -378,6 +406,7 @@ void JobRun::schedule_reduces() {
                              static_cast<std::ptrdiff_t>(head));
   pending_reduces_.insert(pending_reduces_.end(), deferred.begin(),
                           deferred.end());
+  reduce_scan_ = {true, wake};
 }
 
 cluster::NodeId JobRun::round_robin_slot(SlotKind k,
@@ -437,6 +466,7 @@ void JobRun::append_pending(std::uint32_t m) {
   RCMP_CHECK(pending_maps_.size() < maps_.size());
   pending_maps_.push_back(m);
   index_pending(pending_maps_.size() - 1, m, true);
+  map_scan_.valid = false;
 }
 
 void JobRun::remove_pending(std::size_t pos) {
@@ -448,6 +478,7 @@ void JobRun::remove_pending(std::size_t pos) {
     index_pending(pos, pending_maps_[pos], true);
   }
   pending_maps_.pop_back();
+  map_scan_.valid = false;
 }
 
 void JobRun::assign_map(std::uint32_t m, cluster::NodeId n) {
@@ -1375,13 +1406,15 @@ void JobRun::write_next_block(std::uint32_t r, std::uint32_t epoch) {
   RCMP_CHECK(rt.state == ReduceState::kWriting);
 
   if (rt.next_block >= rt.planned.size()) {
-    // All blocks written (possibly zero): commit.
-    env_.dfs.commit_partition(spec_.output, rt.partition, rt.planned);
+    // All blocks written (possibly zero): commit. The plan moves into
+    // the block table; the reducer is done once it is committed.
+    const std::size_t blocks = rt.planned.size();
+    env_.dfs.commit_partition(spec_.output, rt.partition,
+                              std::move(rt.planned));
     if (payload_mode_) {
       env_.payloads.append(
           spec_.output, rt.partition, std::move(rt.out_records),
-          static_cast<std::uint32_t>(std::max<std::size_t>(
-              1, rt.planned.size())));
+          static_cast<std::uint32_t>(std::max<std::size_t>(1, blocks)));
       rt.out_records.clear();
     }
     if (std::find(partitions_committed_.begin(),
@@ -1481,6 +1514,7 @@ void JobRun::reset_reduce_task(std::uint32_t r) {
   if (!charge_attempt(rt.attempts, rt.not_before))
     exhausted_retry_budget_ = true;
   pending_reduces_.push_back(r);
+  reduce_scan_.valid = false;
 }
 
 // ---------------------------------------------------------------------
@@ -1812,6 +1846,7 @@ void JobRun::on_node_reconciled(cluster::NodeId n) {
       if (it != pending_maps_.end()) {
         pending_maps_.erase(it);
         local_pending_.release();  // positions shifted: rebuild lazily
+        map_scan_.valid = false;
       }
     } else if (t.state != MapState::kFrozen) {  // frozen holds no slot
       cancel_task_work(t);

@@ -95,7 +95,18 @@ class JobRun {
 
   /// Shared-cluster nudge: capacity freed elsewhere (another chain
   /// released a slot, a node rejoined) — try to place pending tasks.
-  void poke() { schedule_tasks(); }
+  /// The placement pass runs only when it could change something: a
+  /// kind with pending tasks is open, or (detector mode) a backoff scan
+  /// is not known to be a no-op. Otherwise the poke only publishes
+  /// demand, as the skipped pass would have ended. Returns whether the
+  /// pass ran.
+  bool poke(OpenSlots open);
+  /// poke(open) with every kind open.
+  bool poke() { return poke(OpenSlots{true, true}); }
+
+  /// A retry poke is armed: a re-queued task waits behind a backoff
+  /// gate that was closed at the last placement pass (detector mode).
+  bool retry_armed() const { return retry_ev_ != sim::kInvalidEvent; }
 
   /// Middleware notification: a node just died (physical effect). Stops
   /// all work touching the node but defers decisions to detection.
@@ -314,6 +325,8 @@ class JobRun {
 
   // --- scheduling ----------------------------------------------------
   void schedule_tasks();
+  /// Would a pass's backoff scans leave both pending lists as they are?
+  bool backoff_scans_idle() const;
   void schedule_maps();
   void schedule_reduces();
   void assign_map(std::uint32_t m, cluster::NodeId n);
@@ -502,6 +515,18 @@ class JobRun {
   std::vector<ReduceTask> reduces_;
   std::vector<std::uint32_t> pending_maps_;
   std::vector<std::uint32_t> pending_reduces_;
+  /// What a placement pass's backoff scan left in a pending list: set
+  /// at the end of schedule_maps / schedule_reduces, cleared by every
+  /// edit of the list. While it holds, the list's gated tasks are its
+  /// suffix and none of their gates has opened, so another scan would
+  /// rebuild the same list and arm no earlier retry poke.
+  struct ScanRecord {
+    bool valid = false;
+    SimTime earliest_gate = 0.0;  // of the gated suffix; max if none
+    bool holds(SimTime now) const { return valid && earliest_gate > now; }
+  };
+  ScanRecord map_scan_;
+  ScanRecord reduce_scan_;
   /// Locality index: row n holds the pending_maps_ positions whose
   /// block has a replica on node n. Edits of pending_maps_ keep it in
   /// step; an order-preserving erase releases it, and it is rebuilt at

@@ -32,6 +32,15 @@ namespace rcmp::mapred {
 
 enum class SlotKind : std::uint8_t { kMap = 0, kReduce = 1 };
 
+/// The slot kinds an offer of freed capacity could grant (JobRun::poke).
+/// A kind is open while some node has a free slot of it that the
+/// arbiter's detector gate admits; on a closed kind may_acquire() says
+/// no on every node, without side effects.
+struct OpenSlots {
+  bool map = false;
+  bool reduce = false;
+};
+
 class SlotBroker {
  public:
   virtual ~SlotBroker() = default;

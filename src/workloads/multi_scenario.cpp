@@ -139,10 +139,10 @@ void MultiScenario::generate_input(std::uint32_t chain) {
       cfg_.base.input_replication, chain);
   for (std::uint32_t p = 0; p < nodes; ++p) {
     const cluster::NodeId writer = storage[p];
-    const auto plan =
-        dfs_.plan_write(input, writer, cfg_.base.per_node_input,
-                        dfs::PlacementPolicy::kLocalFirst);
-    dfs_.commit_partition(input, p, plan);
+    auto plan = dfs_.plan_write(input, writer, cfg_.base.per_node_input,
+                                dfs::PlacementPolicy::kLocalFirst);
+    const auto blocks = static_cast<std::uint32_t>(plan.size());
+    dfs_.commit_partition(input, p, std::move(plan));
     if (cfg_.base.payload) {
       const std::uint64_t count =
           cfg_.base.per_node_input / cfg_.base.engine.record_bytes;
@@ -165,8 +165,7 @@ void MultiScenario::generate_input(std::uint32_t chain) {
           records.push_back(mapred::Record{ds_rng(), ds_rng()});
         }
       }
-      payloads_.append(input, p, std::move(records),
-                       static_cast<std::uint32_t>(plan.size()));
+      payloads_.append(input, p, std::move(records), blocks);
     }
   }
   inputs_.push_back(input);

@@ -174,8 +174,8 @@ struct EngineFixture {
         dfs(cluster, 64_MiB, 123),
         sched(sim, cluster, dfs, nullptr) {
     sched.add_chain(1.0, &outputs);
-    sched.set_kick(0, [this] {
-      if (!runs.empty() && runs.back()->running()) runs.back()->poke();
+    sched.set_kick(0, [this](mapred::OpenSlots open) {
+      return !runs.empty() && runs.back()->poke(open);
     });
     sched.submit(0, 0.0, [] {});
     sim.run();  // admission

@@ -7,9 +7,11 @@
 // scenes pin the map-placement paths that edit the pending-map list or
 // the replica lists under it: a disk loss while maps are pending, a
 // retry backoff that defers pending maps, and a false suspicion that
-// reconciles while its spurious re-execution is still pending. Two
-// storage-budget scenes pin the eviction loop across a kill: a budget
-// that evicts everything, and one that evicts the oldest jobs only.
+// reconciles while its spurious re-execution is still pending. A
+// twelve-chain scene pins the scheduler's offer loop while chains hold
+// retry-backoff gates. Two storage-budget scenes pin the eviction loop
+// across a kill: a budget that evicts everything, and one that evicts
+// the oldest jobs only.
 //
 // Each pin is the exact simulated outcome: makespan as a hex float,
 // job/replan/restart counts and the final output checksum. A drift
@@ -247,6 +249,97 @@ TEST(GoldenPin, FalseSuspicionReconcilesPendingReexecution) {
   expect_pin(r, s.final_output_checksum(),
              {0x1.48dee8b7dddf9p+6, 5, 0, 0, kChainSum});
   expect_trace_md5(s, "7af4a4286132006d151ef222591b7e40");
+}
+
+/// Twelve chains on six nodes under the fast detector, with jittered
+/// retry backoffs.
+workloads::MultiScenarioConfig offer_loop_config() {
+  auto cfg = testfx::multi_config(/*chains=*/12, /*nodes=*/6,
+                                  /*chain_length=*/3,
+                                  /*records_per_node=*/128);
+  cfg.base.input_replication = 4;
+  cfg.base.trace_capacity = 1 << 18;
+  cfg.base.detector.enabled = true;
+  cfg.base.detector.heartbeat_interval = 0.1;
+  cfg.base.detector.suspicion_timeout = 0.3;
+  cfg.base.engine.retry_backoff_jitter = 0.5;
+  return cfg;
+}
+
+/// Node 3 loses its heartbeats for 4 s, 16 s after the thirteenth job
+/// start (the first second job), while second jobs read the first
+/// jobs' unreplicated outputs; node 4 is killed 15.1 s after the 26th
+/// job start.
+FaultSchedule offer_loop_faults() {
+  FaultSchedule schedule;
+  FaultEvent loss = fixed_victim(FaultMode::kHeartbeatLoss, 13, 16.0, 3);
+  loss.downtime = 4.0;
+  schedule.events.push_back(loss);
+  schedule.events.push_back(fixed_victim(FaultMode::kKill, 26, 15.1, 4));
+  return schedule;
+}
+
+TEST(GoldenPin, OfferLoopUnderRetryBackoff) {
+  // The suspected node's tasks re-queue behind jittered backoffs, maps
+  // whose only input replica it holds re-queue at read time, and the
+  // kill replans four chains. Every freed slot raises a scheduler poke
+  // that kicks the hungry chains, some of them holding closed backoff
+  // gates; a kick runs a chain's placement pass only when a pending
+  // kind is open or a backoff scan could move its lists. A kick that
+  // skipped the pass after a read-time re-queue, with no slot open,
+  // would leave that map's retry poke unarmed and move every chain.
+  workloads::MultiScenario ms(offer_loop_config());
+  const auto r =
+      ms.run_chaos(strat(Strategy::kRcmpSplit), offer_loop_faults());
+  ASSERT_EQ(r.size(), 12u);
+  const std::vector<Pin> pins = {
+      {0x1.34f93ae0dbe56p+5, 3, 0, 0, {}},
+      {0x1.f40799bad8e21p+5, 3, 0, 0, {}},
+      {0x1.ccf86910c8f61p+6, 6, 1, 0, {}},
+      {0x1.045ce601f1641p+6, 3, 0, 0, {}},
+      {0x1.009a11977b5b6p+6, 3, 0, 0, {}},
+      {0x1.04dc2b0689412p+6, 3, 0, 0, {}},
+      {0x1.ebbea412ae62bp+5, 3, 0, 0, {}},
+      {0x1.71a5c0b373afcp+6, 5, 1, 0, {}},
+      {0x1.8866d619656c4p+6, 5, 1, 0, {}},
+      {0x1.02aa1cd2a51f5p+6, 3, 0, 0, {}},
+      {0x1.0098ed69fabdap+6, 3, 0, 0, {}},
+      {0x1.8b048d75b2bdcp+6, 5, 1, 0, {}},
+  };
+  for (std::uint32_t c = 0; c < 12; ++c) {
+    SCOPED_TRACE(c);
+    expect_run(r[c], pins[c]);
+  }
+  EXPECT_EQ(ms.obs().tracer.dropped(), 0u);
+  EXPECT_EQ(Md5::to_hex(Md5::hash(ms.obs().tracer.export_jsonl())),
+            "a8a5e56889c0eae7c5c03e9dc62a971b");
+
+  // The same scene with each kick forwarded by the test, which sees
+  // kicks run no pass while their chain holds a closed backoff gate.
+  workloads::MultiScenario again(offer_loop_config());
+  again.attach_chaos(offer_loop_faults());
+  again.start(strat(Strategy::kRcmpSplit));
+  std::uint64_t gated_skips = 0;
+  for (std::uint32_t c = 0; c < 12; ++c) {
+    again.scheduler().set_kick(c, [&again, &gated_skips,
+                                   c](mapred::OpenSlots open) {
+      mapred::JobRun* run = again.middleware(c).current_run();
+      if (run == nullptr) return false;
+      const bool gated = run->retry_armed();
+      const bool pass = run->poke(open);
+      if (gated && !pass) ++gated_skips;
+      return pass;
+    });
+  }
+  const auto r2 = again.finish();
+  EXPECT_GT(gated_skips, 0u);
+  EXPECT_LT(again.scheduler().kick_passes(), again.scheduler().kicks_run());
+  EXPECT_EQ(again.scheduler().kicks_run(), ms.scheduler().kicks_run());
+  EXPECT_EQ(again.scheduler().kick_passes(), ms.scheduler().kick_passes());
+  for (std::uint32_t c = 0; c < 12; ++c) {
+    SCOPED_TRACE(c);
+    expect_run(r2[c], pins[c]);
+  }
 }
 
 /// A storage-budget scene with the trace ring and the decision journal

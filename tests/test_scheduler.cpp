@@ -1,7 +1,8 @@
 // Multi-tenant ChainScheduler behavior: 16-chain scaling, the one-chain
 // tag rule, blast-radius isolation on node failure, deterministic traces,
-// weighted fair sharing, work-conserving backfill, admission control and
-// cross-chain storage eviction.
+// weighted fair sharing, work-conserving backfill, kicks that skip the
+// placement pass when no slot they could take is open, admission control
+// and cross-chain storage eviction.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -270,6 +271,88 @@ TEST(Scheduler, NextFreeMatchesBruteForceScan) {
   EXPECT_GT(ups, 20u);
   EXPECT_GT(first_word_empty, 100u);
   f.sim.run();  // drain the coalesced pokes (no chain has a kick)
+}
+
+TEST(Scheduler, KicksWithNoOpenSlotRunNoPass) {
+  // A poke kicks every hungry chain, but a kick runs the chain's
+  // placement pass only when a kind it has pending tasks of is open
+  // (fault-free, so no backoff scan). Skipping the rest changes no
+  // decision: grants, denials and pokes are those of a pass per kick.
+  auto cfg = multi_config(/*chains=*/16, /*nodes=*/8, /*chain_length=*/2,
+                          /*records_per_node=*/64);
+  MultiScenario ms(cfg);
+  const auto r = ms.run(strat(Strategy::kRcmpSplit));
+  std::uint64_t grants = 0;
+  for (std::uint32_t c = 0; c < 16; ++c) {
+    ASSERT_TRUE(r[c].completed) << "chain " << c;
+    grants += ms.scheduler().grants(c);
+  }
+  EXPECT_EQ(grants, 1338u);
+  EXPECT_EQ(ms.scheduler().total_denials(), 1u);
+  EXPECT_EQ(ms.scheduler().pokes_run(), 1206u);
+  EXPECT_EQ(ms.scheduler().kicks_run(), 11713u);
+  EXPECT_EQ(ms.scheduler().kick_passes(), 137u);
+}
+
+/// A chain's seat at the scheduler that remembers the demand its engine
+/// last published.
+class DemandProbe : public mapred::SlotBroker {
+ public:
+  explicit DemandProbe(mapred::SlotBroker& seat) : seat_(seat) {}
+  bool may_acquire(cluster::NodeId n, SlotKind k) const override {
+    return seat_.may_acquire(n, k);
+  }
+  void acquire(cluster::NodeId n, SlotKind k) override {
+    seat_.acquire(n, k);
+  }
+  void release(cluster::NodeId n, SlotKind k) override {
+    seat_.release(n, k);
+  }
+  void release_all() override { seat_.release_all(); }
+  void set_demand(SlotKind k, bool hungry) override {
+    demand[static_cast<int>(k)] = hungry;
+    seat_.set_demand(k, hungry);
+  }
+  cluster::NodeId next_free(cluster::NodeId from,
+                            SlotKind k) const override {
+    return seat_.next_free(from, k);
+  }
+
+  bool demand[2] = {false, false};
+
+ private:
+  mapred::SlotBroker& seat_;
+};
+
+TEST(Scheduler, KickWithOnlyMapSlotsOpenKeepsReduceDemand) {
+  // Five nodes with one slot of each kind, and a job with 20 maps and 8
+  // reducers: its first five reducers hold every reduce slot until the
+  // maps are done, three wait. Once no map is pending, each finishing
+  // map frees a map slot and the poke kicks the chain with only maps
+  // open: no pass runs, and the reduce demand stays published.
+  testfx::EngineFixture f;
+  DemandProbe probe(f.sched.broker(0));
+  mapred::JobRun run(mapred::Env{f.sim, f.net, f.cluster, f.dfs, f.outputs,
+                                 f.payloads, probe},
+                     f.make_spec(/*reducers=*/8), {}, f.cfg, 1, 7,
+                     [](mapred::JobRun&) {});
+  std::uint32_t map_only_kicks = 0;
+  f.sched.set_kick(0, [&](mapred::OpenSlots open) {
+    const bool only_reduces_wanted = !probe.demand[0] && probe.demand[1];
+    const bool pass = run.poke(open);
+    if (open.map && !open.reduce && only_reduces_wanted) {
+      ++map_only_kicks;
+      EXPECT_FALSE(pass);
+      EXPECT_TRUE(probe.demand[1]);
+    }
+    return pass;
+  });
+  run.start();
+  f.sim.run();
+  ASSERT_TRUE(run.finished());
+  EXPECT_EQ(run.result().reducers_executed, 8u);
+  EXPECT_GT(map_only_kicks, 0u);
+  EXPECT_LE(f.sched.kick_passes() + map_only_kicks, f.sched.kicks_run());
 }
 
 TEST(Scheduler, BackfillExceedsFairShareWhenPeerIdle) {
