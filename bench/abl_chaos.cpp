@@ -34,8 +34,8 @@ int main() {
           s.run_chaos(make_strategy(core::Strategy::kRcmpSplit), schedule);
       if (!r.completed) continue;  // logged; excluded from the mean
       t.add(r.total_time);
-      *injected += s.chaos()->counts().injected() +
-                   s.chaos()->counts().rack_events;
+      *injected += s.injector()->counts().injected() +
+                   s.injector()->counts().rack_events;
     }
     return t.mean();
   };

@@ -302,7 +302,7 @@ int main(int argc, char** argv) {
     const core::StrategyConfig strategy =
         drill_strategy(schedule_ordinals(d.schedule));
     const auto result = scenario.run_chaos(strategy, d.schedule);
-    const auto& counts = scenario.chaos()->counts();
+    const auto& counts = scenario.injector()->counts();
     const bool ok =
         result.completed && scenario.final_output_checksum() == chaos_ref;
     all_ok &= ok;
@@ -399,7 +399,7 @@ int main(int argc, char** argv) {
     const core::StrategyConfig strategy =
         drill_strategy(schedule_ordinals(schedule));
     const auto result = scenario.run_chaos(strategy, schedule);
-    const auto& counts = scenario.chaos()->counts();
+    const auto& counts = scenario.injector()->counts();
     const bool ok =
         result.completed && scenario.final_output_checksum() == chaos_ref;
     all_ok &= ok;

@@ -1,6 +1,7 @@
 #include "cluster/chaos.hpp"
 
 #include <algorithm>
+#include <string>
 
 #include "common/error.hpp"
 #include "common/log.hpp"
@@ -93,10 +94,33 @@ FaultSchedule schedule_from_trace(const FailureTrace& trace,
       FaultEvent ev;
       ev.mode = sample_trace_mode(rng, opt);
       ev.at_job_ordinal = ordinal;
-      ev.delay = 15.0 + 15.0 * i;  // paper: same-job faults 15 s apart
+      ev.delay = kPaperFaultDelay * (i + 1);  // same-job faults 15 s apart
       ev.downtime = opt.downtime;
       out.events.push_back(ev);
     }
+  }
+  return out;
+}
+
+FaultSchedule kill_schedule(const FailurePlan& plan, std::uint32_t nodes) {
+  // Reject impossible plans up front instead of asserting mid-run.
+  const auto& ordinals = plan.at_job_ordinals;
+  if (std::find(ordinals.begin(), ordinals.end(), 0u) != ordinals.end()) {
+    throw ConfigError(
+        "FailurePlan: job ordinals are 1-based; ordinal 0 never fires");
+  }
+  if (ordinals.size() > nodes) {
+    throw ConfigError("FailurePlan: " + std::to_string(ordinals.size()) +
+                      " kills requested but the cluster has only " +
+                      std::to_string(nodes) + " nodes");
+  }
+  FaultSchedule out;
+  for (auto it = ordinals.begin(); it != ordinals.end(); ++it) {
+    FaultEvent ev;  // kKill of a random alive node
+    ev.at_job_ordinal = *it;
+    const auto repeat = std::count(ordinals.begin(), it, *it);
+    ev.delay = kPaperFaultDelay * static_cast<double>(repeat + 1);
+    out.events.push_back(ev);
   }
   return out;
 }

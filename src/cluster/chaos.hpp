@@ -1,18 +1,21 @@
 // Chaos engine: multi-mode fault injection driven by typed schedules.
 //
-// The paper's injector (failure_injector.hpp) reproduces exactly one
-// fault: a permanent whole-node kill at a job-start ordinal. Real
-// clusters behind the paper's own Fig. 2 traces also see transient
-// reboots, partial failures (a dead TaskTracker with a healthy DataNode,
-// or a swapped disk under a live TaskTracker), correlated rack outages,
-// and silent data corruption. The ChaosEngine generalizes injection to a
-// schedule of typed FaultEvents that can be authored directly, derived
-// from a FailureTrace (failure_trace.hpp), or sampled per seed.
+// The paper injects exactly one fault (§V-A): a permanent whole-node
+// kill 15 s after some job starts. Real clusters behind the paper's own
+// Fig. 2 traces also see transient reboots, partial failures (a dead
+// TaskTracker with a healthy DataNode, or a swapped disk under a live
+// TaskTracker), correlated rack outages, and silent data corruption.
+// The ChaosEngine injects a schedule of typed FaultEvents that can be
+// authored directly, derived from a FailureTrace (failure_trace.hpp),
+// sampled per seed, or built from the paper's FailurePlan by
+// kill_schedule() — the paper's kills run on this one engine.
 //
-// Like the paper injector, events trigger on 1-based global job-start
-// ordinals reported by the middleware, with a delay after the start —
-// this keeps campaigns meaningful across recomputation runs, which
-// inflate the ordinal count.
+// Events trigger on 1-based global job-start ordinals reported by the
+// middleware, with a delay after the start. Jobs are numbered by start
+// order across the whole run, including recomputation runs (paper:
+// "Each job ... that starts running receives as an unique ID the next
+// available integer number starting with 1"), so FAIL 7,14 only makes
+// sense because recomputation inflates the job count.
 //
 // Layering: this file lives in the cluster layer and cannot see the DFS
 // or the map-output store. Corruption events therefore fire through
@@ -52,12 +55,17 @@ const char* fault_mode_name(FaultMode mode);
 
 inline constexpr std::uint32_t kAnyRack = 0xffffffffu;
 
+/// The paper's injection delay: "We injected failures 15s after the
+/// start of some job", and a second failure in the same job 15 s after
+/// the first.
+inline constexpr SimTime kPaperFaultDelay = 15.0;
+
 struct FaultEvent {
   FaultMode mode = FaultMode::kKill;
   /// 1-based global job-start ordinal that arms this event.
   std::uint32_t at_job_ordinal = 1;
-  /// Seconds after the triggering job start (the paper uses 15 s).
-  SimTime delay = 15.0;
+  /// Seconds after the triggering job start.
+  SimTime delay = kPaperFaultDelay;
   /// Victim node; kInvalidNode picks a random eligible node at fire time.
   NodeId node = kInvalidNode;
   /// Target rack for kRack; kAnyRack picks the rack of a random alive
@@ -70,6 +78,21 @@ struct FaultEvent {
 struct FaultSchedule {
   std::vector<FaultEvent> events;
 };
+
+/// The paper's failure plan (§V-A): permanent kills of a randomly chosen
+/// node at global job ordinals.
+struct FailurePlan {
+  /// Global job ordinals (1-based, in start order) at which to inject a
+  /// failure. Repeating an ordinal injects two failures in that job, the
+  /// second 15 s after the first (paper's FAIL 2,2 / 7,7 cases).
+  std::vector<std::uint32_t> at_job_ordinals;
+};
+
+/// The plan as a schedule of random-victim kKill events, in plan order:
+/// the i-th repeat of an ordinal fires kPaperFaultDelay * (i + 1) after
+/// that job starts. Throws ConfigError for an ordinal 0 (checked first)
+/// or for more kills than the cluster's `nodes`.
+FaultSchedule kill_schedule(const FailurePlan& plan, std::uint32_t nodes);
 
 /// Knobs for compressing a multi-year FailureTrace into a chain-scale
 /// chaos campaign: the i-th failure day maps to job ordinal
@@ -177,6 +200,8 @@ class ChaosEngine {
     }
   };
   const Counts& counts() const { return counts_; }
+  /// Faults injected so far (counts().injected()).
+  std::uint32_t injected() const { return counts_.injected(); }
   const std::vector<NodeId>& killed_nodes() const { return killed_; }
 
  private:

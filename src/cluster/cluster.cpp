@@ -206,9 +206,6 @@ void Cluster::dispatch_failure(const FailureEvent& ev) {
                   obs::kNoField, obs::kNoField, 0.0);
   }
   for (auto& h : failure_handlers_) h(ev);
-  if (ev.whole_node()) {
-    for (auto& h : kill_handlers_) h(ev.node);
-  }
 }
 
 void Cluster::kill(NodeId n) {
@@ -273,11 +270,6 @@ Cluster::Path Cluster::path_disk_read(NodeId n) const {
 
 Cluster::Path Cluster::path_disk_write(NodeId n) const {
   return Path{{disk_[n]}, {spec_.disk_write_penalty}};
-}
-
-Cluster::Path Cluster::path_tier_read(NodeId n, StorageTier tier) const {
-  if (tier == StorageTier::kMemory) return Path{{mem_[n]}, {1.0}};
-  return path_disk_read(n);
 }
 
 Cluster::Path Cluster::path_tier_write(NodeId n,

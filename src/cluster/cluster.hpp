@@ -164,9 +164,9 @@ class Cluster {
 
   /// Kill a node: storage and compute are lost simultaneously (the paper
   /// kills TaskTracker + DataNode together). Subscribers registered via
-  /// on_kill()/on_failure() are notified immediately, in registration
-  /// order — storage layers subscribe before the engine so loss reports
-  /// are ready when the engine reacts.
+  /// on_failure() are notified immediately, in registration order —
+  /// storage layers subscribe before the engine so loss reports are
+  /// ready when the engine reacts.
   void kill(NodeId n);
 
   /// Compute-only failure: the node's tasks die but every persisted byte
@@ -185,10 +185,6 @@ class Cluster {
   /// via on_recover) is responsible for re-registering slots; the DFS
   /// holds no replicas on it until new writes land.
   void recover(NodeId n);
-
-  using KillHandler = std::function<void(NodeId)>;
-  /// Legacy whole-node-kill notification; fires only for kill().
-  void on_kill(KillHandler h) { kill_handlers_.push_back(std::move(h)); }
 
   using FailureHandler = std::function<void(const FailureEvent&)>;
   /// Fires for every failure flavor (kill, compute-only, disk-only).
@@ -256,9 +252,8 @@ class Cluster {
   Path path_disk_read(NodeId n) const;
   /// Path for a task on `n` writing to its local disk.
   Path path_disk_write(NodeId n) const;
-  /// Tier-dispatched local read/write: disk paths as above, or the mem
+  /// Tier-dispatched local write: the disk path as above, or the mem
   /// link (no write penalty) for the memory tier.
-  Path path_tier_read(NodeId n, StorageTier tier) const;
   Path path_tier_write(NodeId n, StorageTier tier) const;
 
   /// Path for moving bytes from src to dst. read_src_disk: bytes
@@ -320,7 +315,6 @@ class Cluster {
   std::uint64_t failure_events_ = 0;
   std::vector<double> cpu_factor_;
   std::uint32_t alive_count_ = 0;
-  std::vector<KillHandler> kill_handlers_;
   std::vector<FailureHandler> failure_handlers_;
   std::vector<RecoverHandler> recover_handlers_;
   std::vector<ReachabilityHandler> reachability_handlers_;

@@ -9,8 +9,6 @@ Log& Log::instance() {
   return log;
 }
 
-void Log::set_sink(Sink sink) { instance().sink_ = std::move(sink); }
-
 const char* Log::level_name(LogLevel lvl) {
   switch (lvl) {
     case LogLevel::kTrace:
@@ -30,13 +28,8 @@ const char* Log::level_name(LogLevel lvl) {
 }
 
 void Log::write(LogLevel lvl, const std::string& msg) {
-  Log& log = instance();
-  if (lvl < log.level_) return;
-  if (log.sink_) {
-    log.sink_(lvl, msg);
-  } else {
-    std::fprintf(stderr, "[%s] %s\n", level_name(lvl), msg.c_str());
-  }
+  if (lvl < instance().level_) return;
+  std::fprintf(stderr, "[%s] %s\n", level_name(lvl), msg.c_str());
 }
 
 }  // namespace rcmp

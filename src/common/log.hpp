@@ -3,11 +3,10 @@
 // The engine and middleware narrate job lifecycle events (submission,
 // failure detection, recompute planning) through this logger; examples
 // turn it up to show the recovery story, tests and benches keep it quiet.
-// A single global sink is deliberate: each Simulation is single-threaded
-// and benches run simulations sequentially.
+// Lines go to stderr. A single global level is deliberate: each
+// Simulation is single-threaded and benches run simulations sequentially.
 #pragma once
 
-#include <functional>
 #include <sstream>
 #include <string>
 
@@ -17,14 +16,8 @@ enum class LogLevel { kTrace = 0, kDebug, kInfo, kWarn, kError, kOff };
 
 class Log {
  public:
-  using Sink = std::function<void(LogLevel, const std::string&)>;
-
   static LogLevel level() { return instance().level_; }
   static void set_level(LogLevel lvl) { instance().level_ = lvl; }
-
-  /// Replace the output sink (default: stderr). Pass nullptr to restore
-  /// the default.
-  static void set_sink(Sink sink);
 
   static bool enabled(LogLevel lvl) { return lvl >= instance().level_; }
   static void write(LogLevel lvl, const std::string& msg);
@@ -34,7 +27,6 @@ class Log {
  private:
   static Log& instance();
   LogLevel level_ = LogLevel::kWarn;
-  Sink sink_;
 };
 
 namespace detail {

@@ -470,17 +470,59 @@ void Middleware::run(std::function<void(const ChainResult&)> on_complete) {
         policy_->on_chain_admission(policy_context(0, false)),
         PolicyHook::kChainAdmission, 0);
   }
+  resume(plan(ground_truth()));
+}
+
+std::vector<PlannerJobState> Middleware::ground_truth() const {
   std::vector<PlannerJobState> states(chain_.jobs.size());
-  if (cache_enabled()) {
-    auto plan = plan_chain_with_cache(states, [this](std::uint32_t j) {
-      return probe_and_borrow(j);
-    });
-    for (PlannedSubmission& s : plan.submissions)
-      queue_.push_back(std::move(s));
-  } else {
-    for (const PlannedSubmission& s : plan_chain(states))
-      queue_.push_back(s);
+  for (std::uint32_t l = 0; l < chain_.jobs.size(); ++l) {
+    states[l].completed_once = completed_once_[l];
+    if (!completed_once_[l]) continue;
+    if (!env_.dfs.file_exists(files_[l])) continue;  // reclaimed
+    for (std::uint32_t p = 0; p < env_.dfs.num_partitions(files_[l]); ++p) {
+      if (!env_.dfs.partition_available(files_[l], p)) {
+        states[l].damaged_partitions.push_back(p);
+      }
+    }
   }
+  return states;
+}
+
+std::vector<PlannedSubmission> Middleware::plan(
+    const std::vector<PlannerJobState>& states) {
+  if (!cache_enabled()) return plan_chain(states);
+  return plan_chain_with_cache(states, [this](std::uint32_t j) {
+           return probe_and_borrow(j);
+         }).submissions;
+}
+
+void Middleware::resume(std::vector<PlannedSubmission> submissions) {
+  // Feasibility: every submission's inputs must exist (they may be
+  // damaged only if an earlier submission regenerates them). A lost
+  // source or a reclaimed input is unrecoverable by recomputation — fall
+  // back to a full restart, which fails the chain if the source is gone.
+  for (const auto& s : submissions) {
+    for (std::uint32_t d : deps_of(s.logical_id)) {
+      if (d == kSourceInput) {
+        if (!env_.dfs.file_available(source_input_)) {
+          RCMP_WARN() << "middleware: source input lost — cannot recover";
+          wipe_and_restart();
+          return;
+        }
+        continue;
+      }
+      if (!env_.dfs.file_exists(files_[d]) || d < reclaimed_below_) {
+        RCMP_WARN() << "middleware: input of job " << s.logical_id
+                    << " was reclaimed — full restart";
+        wipe_and_restart();
+        return;
+      }
+    }
+  }
+  queue_.assign(submissions.begin(), submissions.end());
+  update_pinned_jobs();
+  RCMP_INFO() << "t=" << env_.sim.now() << " middleware: " << tag_
+              << queue_.size() << " submission(s) queued";
   submit_next();
 }
 
@@ -788,15 +830,11 @@ void Middleware::on_recover(cluster::NodeId n) {
 }
 
 bool Middleware::has_unresolved_damage() const {
-  for (std::uint32_t l = 0; l < chain_.jobs.size(); ++l) {
-    if (!completed_once_[l]) continue;
-    if (!env_.dfs.file_exists(files_[l])) continue;  // reclaimed
-    for (std::uint32_t p = 0; p < env_.dfs.num_partitions(files_[l]);
-         ++p) {
-      if (!env_.dfs.partition_available(files_[l], p)) return true;
-    }
-  }
-  return false;
+  const auto states = ground_truth();
+  return std::any_of(states.begin(), states.end(),
+                     [](const PlannerJobState& s) {
+                       return !s.damaged_partitions.empty();
+                     });
 }
 
 bool Middleware::enforce_capacity_floor() {
@@ -890,57 +928,7 @@ void Middleware::replan() {
   // their bytes, in which case the position reverts to this chain's own
   // file and recomputes below.
   revalidate_borrows();
-
-  std::vector<PlannerJobState> states(chain_.jobs.size());
-  for (std::uint32_t l = 0; l < chain_.jobs.size(); ++l) {
-    states[l].completed_once = completed_once_[l];
-    if (!completed_once_[l]) continue;
-    if (!env_.dfs.file_exists(files_[l])) continue;  // reclaimed
-    for (std::uint32_t p = 0; p < env_.dfs.num_partitions(files_[l]); ++p) {
-      if (!env_.dfs.partition_available(files_[l], p)) {
-        states[l].damaged_partitions.push_back(p);
-      }
-    }
-  }
-  std::vector<PlannedSubmission> plan;
-  if (cache_enabled()) {
-    auto cached = plan_chain_with_cache(states, [this](std::uint32_t j) {
-      return probe_and_borrow(j);
-    });
-    plan = std::move(cached.submissions);
-  } else {
-    plan = plan_chain(states);
-  }
-
-  // Feasibility: every submission's inputs must exist (they may be
-  // damaged only if an earlier submission regenerates them). Reclaimed
-  // inputs are unrecoverable by recomputation — fall back to a full
-  // restart.
-  for (const auto& s : plan) {
-    for (std::uint32_t d : deps_of(s.logical_id)) {
-      if (d == kSourceInput) {
-        if (!env_.dfs.file_available(source_input_)) {
-          RCMP_WARN() << "middleware: source input lost — cannot recover";
-          wipe_and_restart();
-          return;
-        }
-        continue;
-      }
-      if (!env_.dfs.file_exists(files_[d]) || d < reclaimed_below_) {
-        RCMP_WARN() << "middleware: input of job " << s.logical_id
-                    << " was reclaimed — full restart";
-        wipe_and_restart();
-        return;
-      }
-    }
-  }
-
-  queue_.clear();
-  for (const auto& s : plan) queue_.push_back(s);
-  update_pinned_jobs();
-  RCMP_INFO() << "t=" << env_.sim.now() << " middleware: replanned, "
-              << queue_.size() << " submission(s) queued";
-  submit_next();
+  resume(plan(ground_truth()));
 }
 
 void Middleware::wipe_and_restart() {
@@ -975,18 +963,8 @@ void Middleware::wipe_and_restart() {
       }
       published_[l] = false;
     }
-    if (env_.dfs.file_exists(files_[l])) {
-      for (std::uint32_t p = 0; p < env_.dfs.num_partitions(files_[l]);
-           ++p) {
-        env_.dfs.clear_partition(files_[l], p);
-        env_.payloads.clear(files_[l], p);
-      }
-    } else {
-      // Recreate a reclaimed file so the restart can write it again.
-      files_[l] = create_output_file(l);
-      own_files_[l] = files_[l];
-    }
-    env_.map_outputs.drop_job(l);
+    // A reclaimed file is recreated so the restart can write it again.
+    reset_output(l, /*recreate=*/true);
     completed_once_[l] = false;
   }
   reclaimed_below_ = 0;
@@ -1000,15 +978,28 @@ void Middleware::wipe_and_restart() {
                "source input has partitions with no surviving replica");
     return;
   }
-  queue_.clear();
-  std::vector<PlannerJobState> states(chain_.jobs.size());
-  for (const PlannedSubmission& s : plan_chain(states))
-    queue_.push_back(s);
+  const auto restart =
+      plan_chain(std::vector<PlannerJobState>(chain_.jobs.size()));
+  queue_.assign(restart.begin(), restart.end());
   update_pinned_jobs();  // a restart plan has no recompute frontier
   RCMP_INFO() << "t=" << env_.sim.now()
               << " middleware: full computation restart #"
               << result_.restarts;
   submit_next();
+}
+
+void Middleware::reset_output(std::uint32_t logical, bool recreate) {
+  if (env_.dfs.file_exists(files_[logical])) {
+    for (std::uint32_t p = 0; p < env_.dfs.num_partitions(files_[logical]);
+         ++p) {
+      env_.dfs.clear_partition(files_[logical], p);
+      env_.payloads.clear(files_[logical], p);
+    }
+  } else if (recreate) {
+    files_[logical] = create_output_file(logical);
+    own_files_[logical] = files_[logical];
+  }
+  env_.map_outputs.drop_job(logical);
 }
 
 void Middleware::reclaim_storage(std::uint32_t replication_point) {
@@ -1404,20 +1395,10 @@ void Middleware::recover_from_journal() {
   // that still holds those partitions would append duplicate blocks.
   // Clear every non-adopted job's own output (and its persisted map
   // outputs) before the planner scan — wasted work, never wrong bytes.
+  // No position is borrowed yet, so files_ are the chain's own; a file
+  // deleted above the reclamation watermark is recreated for the plan.
   for (std::uint32_t l = 0; l < n_jobs; ++l) {
-    if (completed_once_[l]) continue;
-    if (env_.dfs.file_exists(own_files_[l])) {
-      for (std::uint32_t p = 0;
-           p < env_.dfs.num_partitions(own_files_[l]); ++p) {
-        env_.dfs.clear_partition(own_files_[l], p);
-        env_.payloads.clear(own_files_[l], p);
-      }
-    } else if (l >= reclaimed_below_) {
-      // Recreate a reclaimed file so the resumed plan can write it.
-      files_[l] = create_output_file(l);
-      own_files_[l] = files_[l];
-    }
-    env_.map_outputs.drop_job(l);
+    if (!completed_once_[l]) reset_output(l, l >= reclaimed_below_);
   }
 
   if (cache_enabled()) {
@@ -1476,54 +1457,9 @@ void Middleware::recover_from_journal() {
   // Resume from the deepest verified prefix through the ordinary
   // planner. This is deliberately NOT a replan: no replan is spent and
   // no kReplanCut is journaled — the crash was the master's fault, not
-  // data loss (any real damage is picked up by the scan below exactly
-  // as a replan would).
-  std::vector<PlannerJobState> states(n_jobs);
-  for (std::uint32_t l = 0; l < n_jobs; ++l) {
-    states[l].completed_once = completed_once_[l];
-    if (!completed_once_[l]) continue;
-    if (!env_.dfs.file_exists(files_[l])) continue;  // reclaimed
-    for (std::uint32_t p = 0; p < env_.dfs.num_partitions(files_[l]);
-         ++p) {
-      if (!env_.dfs.partition_available(files_[l], p)) {
-        states[l].damaged_partitions.push_back(p);
-      }
-    }
-  }
-  std::vector<PlannedSubmission> plan;
-  if (cache_enabled()) {
-    auto cached = plan_chain_with_cache(states, [this](std::uint32_t j) {
-      return probe_and_borrow(j);
-    });
-    plan = std::move(cached.submissions);
-  } else {
-    plan = plan_chain(states);
-  }
-  for (const auto& s : plan) {
-    for (std::uint32_t d : deps_of(s.logical_id)) {
-      if (d == kSourceInput) {
-        if (!env_.dfs.file_available(source_input_)) {
-          RCMP_WARN() << "middleware: source input lost — cannot recover";
-          wipe_and_restart();
-          return;
-        }
-        continue;
-      }
-      if (!env_.dfs.file_exists(files_[d]) || d < reclaimed_below_) {
-        RCMP_WARN() << "middleware: input of job " << s.logical_id
-                    << " was reclaimed — full restart";
-        wipe_and_restart();
-        return;
-      }
-    }
-  }
-  queue_.clear();
-  for (const auto& s : plan) queue_.push_back(s);
-  update_pinned_jobs();
-  RCMP_INFO() << "t=" << env_.sim.now() << " middleware: " << tag_
-              << "resuming after master crash, " << queue_.size()
-              << " submission(s) queued";
-  submit_next();
+  // data loss (any real damage is picked up by the ground-truth scan
+  // exactly as a replan would).
+  resume(plan(ground_truth()));
 }
 
 }  // namespace rcmp::core

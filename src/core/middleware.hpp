@@ -158,13 +158,16 @@ class Middleware {
   Middleware& operator=(const Middleware&) = delete;
 
   /// Register a job-start observer (ordinal is 1-based, in start order);
-  /// the failure injector hooks in here.
+  /// the scenario's chaos engine hooks in here.
   void on_job_start(std::function<void(std::uint32_t)> cb) {
     start_observers_.push_back(std::move(cb));
   }
 
-  /// Submit the first job; the caller then drives env.sim.run(). The
-  /// completion callback fires once, when the last job finishes.
+  /// Plan the chain and submit the first job through the same resume
+  /// path a replan takes (a source input that already lost its last
+  /// replica fails the chain with kSourceDataLost); the caller then
+  /// drives env.sim.run(). The completion callback fires once, when the
+  /// chain completes or gives up.
   void run(std::function<void(const ChainResult&)> on_complete);
 
   bool finished() const { return chain_done_; }
@@ -221,7 +224,23 @@ class Middleware {
   void submit_next();
   void on_run_done(mapred::JobRun& run);
   void replan();
+  /// DFS ground truth for the planner: which jobs completed, and which
+  /// partitions of their (unreclaimed) outputs have no surviving copy.
+  std::vector<PlannerJobState> ground_truth() const;
+  /// The plan for `states`, cut at the deepest usable result-cache entry
+  /// when the cache is on.
+  std::vector<PlannedSubmission> plan(
+      const std::vector<PlannerJobState>& states);
+  /// The one way a chain (re)starts — admission, replan and journal
+  /// recovery: check that every input the submissions read can be had
+  /// (else fall back to a full restart), then queue them, pin the
+  /// recompute frontier and submit the first.
+  void resume(std::vector<PlannedSubmission> submissions);
   void wipe_and_restart();
+  /// Empty job `logical`'s output file for a rerun (clear its
+  /// partitions; a deleted file is recreated when `recreate` is set) and
+  /// drop its persisted map outputs.
+  void reset_output(std::uint32_t logical, bool recreate);
   void reclaim_storage(std::uint32_t replication_point);
   void sample_storage();
   /// Mirror ChainResult into the metrics registry (chain completion).

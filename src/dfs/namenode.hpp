@@ -177,9 +177,10 @@ class NameNode {
   bool partition_corrupt(FileId f, PartitionIndex p) const;
 
   /// Partitions per file that became unavailable because of this node's
-  /// death. Subscribed to Cluster::on_kill by the owner; also callable
-  /// directly from tests. Strips *disk-tier* replicas only: a disk-only
-  /// failure leaves process RAM intact.
+  /// storage loss. Each middleware calls it from its Cluster::on_failure
+  /// handler when the event lost storage (a kill or a disk failure);
+  /// also callable directly from tests. Strips *disk-tier* replicas only:
+  /// a disk-only failure leaves process RAM intact.
   std::vector<LossReport> on_node_failure(cluster::NodeId dead);
 
   /// The memory-tier counterpart: a compute failure (or whole-node

@@ -599,7 +599,7 @@ void JobRun::map_read_done(std::uint32_t m, std::uint32_t epoch) {
   if (state_ != RunState::kRunning || t.epoch != epoch) return;
   RCMP_CHECK(t.state == MapState::kReading);
   t.flow = res::kInvalidFlow;
-  if (cfg_.verify_on_read && map_input_corrupt(m)) {
+  if (map_input_corrupt(m)) {
     handle_corrupt_input(m);
     return;
   }
@@ -862,7 +862,7 @@ void JobRun::dup_read_done(std::uint32_t m, std::uint64_t token) {
   Duplicate* dup = find_dup(m, token);
   if (dup == nullptr || state_ != RunState::kRunning) return;
   dup->flow = res::kInvalidFlow;
-  if (cfg_.verify_on_read && map_input_corrupt(m)) {
+  if (map_input_corrupt(m)) {
     handle_corrupt_input(m);
     return;
   }
@@ -1242,8 +1242,7 @@ void JobRun::fetch_done(std::uint64_t token) {
   // no records and keep the per-segment marker check: a pre-pass over
   // them measured slower on dco_late_kill.
   const std::size_t n = fetch_mappers_.size();
-  const bool packed = cfg_.verify_on_read && payload_mode_;
-  if (packed) {
+  if (payload_mode_) {
     fetch_outs_.resize(n);
     fetch_pending_.resize(n);
     fetch_verdicts_.resize(n);
@@ -1262,29 +1261,27 @@ void JobRun::fetch_done(std::uint64_t token) {
   for (std::size_t i = 0; i < n; ++i) {
     const std::uint32_t m = fetch_mappers_[i];
     RCMP_CHECK(rt.contrib[m] == ContribState::kInflight);
-    const MapOutput* out = packed ? fetch_outs_[i] : output_of(m);
+    const MapOutput* out = payload_mode_ ? fetch_outs_[i] : output_of(m);
     if (out == nullptr) {
       rt.contrib[m] = ContribState::kWaiting;
       continue;
     }
-    if (cfg_.verify_on_read) {
-      const BucketState bs =
-          packed ? fetch_verdicts_[i]
-                 : MapOutputStore::bucket_state(*out, rt.partition);
-      if (bs != BucketState::kIntact) {
-        if (bs == BucketState::kMissingSum && env_.obs != nullptr) {
-          // An unverifiable bucket must never pass silently: surface it
-          // to the auditor (aborts under audit), then fall through to
-          // the corrupt-output recovery path.
-          env_.obs->report_violation(
-              "shuffle fetch of mapper " + std::to_string(m) +
-              " bucket " + std::to_string(rt.partition) +
-              " has payload but no captured checksum (unverifiable read)");
-        }
-        rt.contrib[m] = ContribState::kWaiting;
-        corrupt.push_back(m);
-        continue;
+    const BucketState bs =
+        payload_mode_ ? fetch_verdicts_[i]
+                      : MapOutputStore::bucket_state(*out, rt.partition);
+    if (bs != BucketState::kIntact) {
+      if (bs == BucketState::kMissingSum && env_.obs != nullptr) {
+        // An unverifiable bucket must never pass silently: surface it to
+        // the auditor (aborts under audit), then fall through to the
+        // corrupt-output recovery path.
+        env_.obs->report_violation(
+            "shuffle fetch of mapper " + std::to_string(m) + " bucket " +
+            std::to_string(rt.partition) +
+            " has payload but no captured checksum (unverifiable read)");
       }
+      rt.contrib[m] = ContribState::kWaiting;
+      corrupt.push_back(m);
+      continue;
     }
     rt.contrib[m] = ContribState::kFetched;
     RCMP_CHECK(rt.unfetched > 0);

@@ -101,8 +101,6 @@ class JobRun {
   /// demand, as the skipped pass would have ended. Returns whether the
   /// pass ran.
   bool poke(OpenSlots open);
-  /// poke(open) with every kind open.
-  bool poke() { return poke(OpenSlots{true, true}); }
 
   /// A retry poke is armed: a re-queued task waits behind a backoff
   /// gate that was closed at the last placement pass (detector mode).

@@ -179,13 +179,6 @@ struct EngineConfig {
   /// Payload-mode record footprint used to convert records <-> bytes.
   Bytes record_bytes = 256;
 
-  /// Verify checksums on the read path: map inputs against the block
-  /// sums recorded at write time, shuffle fetches against the per-bucket
-  /// sums captured when the map output was persisted. Detected
-  /// corruption of a map output re-executes the mapper; corruption of a
-  /// job input aborts with kAbortedDataLoss so the middleware replans.
-  bool verify_on_read = true;
-
   SimTime startup_cost() const {
     return jvm_reuse ? jvm_reuse_startup : task_startup;
   }
@@ -246,10 +239,13 @@ struct JobResult {
   double shuffle_bytes = 0.0;
   double output_bytes = 0.0;
 
-  /// Read-path integrity events (verify_on_read): input blocks whose
-  /// checksum no longer matched (each aborts the run) and map-output
-  /// buckets caught corrupt at shuffle-fetch time (each re-executes the
-  /// mapper in place).
+  /// Read-path integrity events. Every read is verified: map inputs
+  /// against the block sums recorded at write time, shuffle fetches
+  /// against the per-bucket sums captured when the map output was
+  /// persisted. Counted here: input blocks whose checksum no longer
+  /// matched (each aborts the run with kAbortedDataLoss, so the
+  /// middleware replans) and map-output buckets caught corrupt at
+  /// shuffle-fetch time (each re-executes the mapper in place).
   std::uint32_t corrupt_blocks_detected = 0;
   std::uint32_t corrupt_map_outputs_detected = 0;
 

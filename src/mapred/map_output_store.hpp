@@ -86,7 +86,6 @@ class MapOutputStore {
   /// identical outputs may use the same namespace — the refcounted
   /// ledger then holds each output's bytes once (cross-chain de-dup).
   void attach_ram(cluster::Cluster* cluster, std::uint32_t ram_namespace);
-  bool ram_attached() const { return ram_cluster_ != nullptr; }
 
   /// Stores a map output. A memory-tier output is charged to the RAM
   /// ledger; under RAM pressure the oldest memory outputs on that node

@@ -89,11 +89,6 @@ Rate FlowNetwork::effective_capacity(LinkId l) {
   return link.eff;
 }
 
-std::size_t FlowNetwork::link_active_flows(LinkId id) const {
-  RCMP_CHECK(id < links_.size());
-  return links_[id].flows.size();
-}
-
 double FlowNetwork::link_pressure(LinkId id) const {
   RCMP_CHECK(id < links_.size());
   const double streams = links_[id].weighted_streams + 1.0;

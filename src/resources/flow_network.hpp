@@ -111,7 +111,6 @@ class FlowNetwork {
   /// Effective aggregate capacity of a link given its current stream
   /// count (exposed for tests of the degradation model).
   Rate link_effective_capacity(LinkId id) const;
-  std::size_t link_active_flows(LinkId id) const;
 
   /// Congestion heuristic for source selection: expected time-per-byte
   /// for one more stream, (active_streams + 1) / effective_capacity.

@@ -231,13 +231,6 @@ std::vector<core::ChainResult> MultiScenario::run_chaos(
   return run(strategy);
 }
 
-void MultiScenario::attach_failures(cluster::FailurePlan plan) {
-  RCMP_CHECK_MSG(injector_ == nullptr && !finished_,
-                 "attach_failures: once, before finish()");
-  injector_ = std::make_unique<cluster::FailureInjector>(
-      cluster_, std::move(plan), rng_.fork_seed());
-}
-
 void MultiScenario::attach_chaos(cluster::FaultSchedule schedule) {
   RCMP_CHECK_MSG(chaos_ == nullptr && !finished_,
                  "attach_chaos: once, before finish()");
@@ -269,7 +262,6 @@ void MultiScenario::note_job_start() {
   // Fault ordinals are global job starts across all chains: "the 5th
   // job the cluster started", whichever tenant owns it.
   ++global_ordinal_;
-  if (injector_ != nullptr) injector_->notify_job_start(global_ordinal_);
   if (chaos_ != nullptr) chaos_->notify_job_start(global_ordinal_);
 }
 

@@ -15,18 +15,17 @@
 // start()/finish() split the same flow for tests that need to
 // interleave their own events (kills, inspections) with the simulation.
 //
-// Fault sources — the paper's ordinal kill plan and the typed chaos
-// engine — attach before or after start(); each draws its seed from the
-// scenario's stream at the moment it attaches, so the attach point fixes
-// the seed order. Their ordinals count job starts globally across
-// chains.
+// The fault source — the chaos engine, which also runs the paper's
+// ordinal kill plan as a cluster::kill_schedule — attaches before or
+// after start(); it draws its seed from the scenario's stream at the
+// moment it attaches, so the attach point fixes the seed order. Its
+// ordinals count job starts globally across chains.
 #pragma once
 
 #include <memory>
 #include <vector>
 
 #include "cluster/chaos.hpp"
-#include "cluster/failure_injector.hpp"
 #include "core/journal.hpp"
 #include "core/middleware.hpp"
 #include "core/result_cache.hpp"
@@ -76,9 +75,6 @@ class MultiScenario {
   std::vector<core::ChainResult> run_chaos(core::StrategyConfig strategy,
                                            cluster::FaultSchedule schedule);
 
-  /// Arm the paper's ordinal kill plan (cluster/failure_injector.hpp)
-  /// on global job-start ordinals. Before or after start(), once.
-  void attach_failures(cluster::FailurePlan plan);
   /// Arm a typed FaultSchedule (the chaos engine) on global job-start
   /// ordinals. Corruption targets a random chain's intermediate outputs
   /// / map-output store. Throws ConfigError for a schedule the scenario
@@ -95,8 +91,6 @@ class MultiScenario {
   /// Null when base.detector.enabled is false.
   cluster::FailureDetector* detector() { return detector_.get(); }
   core::ChainScheduler& scheduler() { return *scheduler_; }
-  /// Null unless attach_failures() was called.
-  cluster::FailureInjector* injector() { return injector_.get(); }
   /// Null unless started with StrategyConfig::result_cache set.
   core::ResultCache* result_cache() { return result_cache_.get(); }
   /// Null unless base.journal is set (one shared journal, records
@@ -148,7 +142,7 @@ class MultiScenario {
  private:
   void generate_input(std::uint32_t chain);
   /// Job-start observer of every middleware: advances the global
-  /// ordinal and notifies the attached fault sources.
+  /// ordinal and notifies the attached chaos engine.
   void note_job_start();
   bool corrupt_random_partition(Rng& rng);
   double weight_of(std::uint32_t chain) const;
@@ -187,7 +181,6 @@ class MultiScenario {
   /// middlewares that append to it.
   std::unique_ptr<core::DecisionJournal> journal_;
   std::vector<std::unique_ptr<core::Middleware>> middlewares_;
-  std::unique_ptr<cluster::FailureInjector> injector_;
   std::unique_ptr<cluster::ChaosEngine> chaos_;
   std::uint32_t global_ordinal_ = 0;
   /// Chains still running; the detector stops when it reaches zero.

@@ -22,7 +22,7 @@ core::ChainResult Scenario::run(core::StrategyConfig strategy,
                                 cluster::FailurePlan failures) {
   ms_.start(strategy);
   if (!failures.at_job_ordinals.empty()) {
-    ms_.attach_failures(std::move(failures));
+    ms_.attach_chaos(cluster::kill_schedule(failures, ms_.cluster().size()));
   }
   return std::move(ms_.finish().front());
 }

@@ -21,8 +21,9 @@ class Scenario {
   explicit Scenario(ScenarioConfig cfg);
 
   /// Run the chain to completion under a strategy, with optional
-  /// injected failures. Returns the chain result; throws if the
-  /// simulation deadlocks before the chain completes.
+  /// injected failures (the plan's kill_schedule on the chaos engine;
+  /// ConfigError for a plan it rejects). Returns the chain result;
+  /// throws if the simulation deadlocks before the chain completes.
   core::ChainResult run(core::StrategyConfig strategy,
                         cluster::FailurePlan failures = {});
 
@@ -46,8 +47,9 @@ class Scenario {
   const ScenarioConfig& config() const { return ms_.config().base; }
   /// Valid once run()/run_chaos() has started the chain.
   core::Middleware& middleware() { return ms_.middleware(0); }
-  cluster::FailureInjector* injector() { return ms_.injector(); }
-  cluster::ChaosEngine* chaos() { return ms_.chaos(); }
+  /// The chaos engine run() or run_chaos() attached; null when run()
+  /// had no failures to inject.
+  cluster::ChaosEngine* injector() { return ms_.chaos(); }
   obs::Observability& obs() { return ms_.obs(); }
   /// Null when ScenarioConfig::audit is false.
   obs::Auditor* auditor() { return ms_.auditor(); }

@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "cluster/chaos.hpp"
-#include "cluster/failure_injector.hpp"
 #include "core/middleware.hpp"
 #include "core/scheduler.hpp"
 #include "mapred/engine.hpp"

@@ -7,9 +7,10 @@
 
 #include <cstdio>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "cluster/chaos.hpp"
-#include "cluster/failure_injector.hpp"
 #include "common/error.hpp"
 #include "core/middleware.hpp"
 #include "fixtures.hpp"
@@ -24,6 +25,7 @@ using cluster::FaultSchedule;
 using core::Strategy;
 using core::StrategyConfig;
 using testfx::chaos_config;
+using testfx::fail_at;
 using testfx::reference_for;
 using testfx::spec_of;
 using testfx::strat;
@@ -65,18 +67,26 @@ TEST(ClusterFaults, DiskFailureKeepsNodeComputingAndWritable) {
 }
 
 TEST(ClusterFaults, KillIsBothAndFiresLegacyHandler) {
+  // Every flavor notifies on_failure; only a kill is whole_node().
   Fixture f;
   cluster::Cluster c(f.sim, f.net, spec_of(4, 1));
   std::vector<cluster::NodeId> killed;
-  c.on_kill([&](cluster::NodeId n) { killed.push_back(n); });
   cluster::FailureEvent seen;
-  c.on_failure([&](const cluster::FailureEvent& ev) { seen = ev; });
+  std::uint32_t events = 0;
+  c.on_failure([&](const cluster::FailureEvent& ev) {
+    seen = ev;
+    ++events;
+    if (ev.whole_node()) killed.push_back(ev.node);
+  });
   c.kill(3);
   EXPECT_TRUE(seen.whole_node());
   EXPECT_EQ(killed, (std::vector<cluster::NodeId>{3}));
-  // Partial failures must NOT fire the legacy whole-node-kill handler.
+  // Partial failures notify the same handlers but are not kills.
   c.fail_compute(0);
+  EXPECT_FALSE(seen.whole_node());
   c.fail_disk(1);
+  EXPECT_FALSE(seen.whole_node());
+  EXPECT_EQ(events, 3u);
   EXPECT_EQ(killed.size(), 1u);
 }
 
@@ -109,36 +119,84 @@ TEST(ClusterFaults, DoublePartialFailuresAreErrors) {
   EXPECT_THROW(c.recover(0), InvariantError);  // healthy node
 }
 
-// --- injector: up-front plan validation ------------------------------
+// --- the paper's failure plan: up-front validation -------------------
 
 TEST(InjectorValidation, OrdinalZeroIsRejected) {
   Fixture f;
   cluster::Cluster c(f.sim, f.net, spec_of(4, 1));
-  cluster::FailurePlan plan;
-  plan.at_job_ordinals = {0};
-  EXPECT_THROW(cluster::FailureInjector(c, plan, 1), ConfigError);
+  EXPECT_THROW(cluster::kill_schedule(fail_at({0}), c.size()), ConfigError);
 }
 
 TEST(InjectorValidation, MoreKillsThanNodesIsRejected) {
   Fixture f;
   cluster::Cluster c(f.sim, f.net, spec_of(4, 1));
-  cluster::FailurePlan plan;
-  plan.at_job_ordinals = {1, 1, 2, 2, 3};
-  EXPECT_THROW(cluster::FailureInjector(c, plan, 1), ConfigError);
-  plan.at_job_ordinals = {1, 1, 2, 2};  // == node count: allowed
-  EXPECT_NO_THROW(cluster::FailureInjector(c, plan, 1));
+  EXPECT_THROW(cluster::kill_schedule(fail_at({1, 1, 2, 2, 3}), c.size()),
+               ConfigError);
+  // == node count: allowed
+  EXPECT_NO_THROW(cluster::kill_schedule(fail_at({1, 1, 2, 2}), c.size()));
 }
 
 TEST(InjectorValidation, ExhaustedVictimsIsANoOp) {
   Fixture f;
   cluster::Cluster c(f.sim, f.net, spec_of(3, 1));
   for (cluster::NodeId n = 0; n < 3; ++n) c.kill(n);
-  cluster::FailurePlan plan;
-  plan.at_job_ordinals = {1};
-  cluster::FailureInjector inj(c, plan, 7);
+  cluster::ChaosEngine inj(c, cluster::kill_schedule(fail_at({1}), c.size()),
+                           7);
   inj.notify_job_start(1);
   f.sim.run();  // the delayed kill fires, finds nobody, and skips
   EXPECT_EQ(inj.injected(), 0u);
+}
+
+// --- kill_schedule: the plan as chaos events --------------------------
+
+using Kills = std::vector<std::pair<std::uint32_t, SimTime>>;
+
+/// (ordinal, delay) of every event, in schedule order; every event must
+/// be a kill of a victim drawn at fire time.
+Kills kills_of(const FaultSchedule& schedule) {
+  Kills out;
+  for (const FaultEvent& ev : schedule.events) {
+    EXPECT_EQ(ev.mode, FaultMode::kKill);
+    EXPECT_EQ(ev.node, cluster::kInvalidNode);
+    out.emplace_back(ev.at_job_ordinal, ev.delay);
+  }
+  return out;
+}
+
+TEST(KillSchedule, OneKillFifteenSecondsAfterItsJobStarts) {
+  EXPECT_EQ(kills_of(cluster::kill_schedule(fail_at({7}), 8)),
+            (Kills{{7, 15.0}}));
+}
+
+TEST(KillSchedule, RepeatsOfAnOrdinalAreFifteenSecondsApart) {
+  EXPECT_EQ(kills_of(cluster::kill_schedule(fail_at({2, 2, 2}), 8)),
+            (Kills{{2, 15.0}, {2, 30.0}, {2, 45.0}}));
+}
+
+TEST(KillSchedule, InterleavedRepeatsKeepPlanOrder) {
+  EXPECT_EQ(kills_of(cluster::kill_schedule(fail_at({4, 7, 4}), 8)),
+            (Kills{{4, 15.0}, {7, 15.0}, {4, 30.0}}));
+}
+
+std::string rejection_of(const std::vector<std::uint32_t>& ordinals,
+                         std::uint32_t nodes) {
+  try {
+    cluster::kill_schedule(fail_at(ordinals), nodes);
+  } catch (const ConfigError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(KillSchedule, RejectsOrdinalZeroBeforeTooManyKills) {
+  const std::string zero =
+      "FailurePlan: job ordinals are 1-based; ordinal 0 never fires";
+  EXPECT_EQ(rejection_of({0}, 4), zero);
+  EXPECT_EQ(rejection_of({1, 1, 2, 2, 3}, 4),
+            "FailurePlan: 5 kills requested but the cluster has only 4 "
+            "nodes");
+  // Both faults at once: the ordinal is reported first.
+  EXPECT_EQ(rejection_of({0, 1, 1, 2, 2}, 4), zero);
 }
 
 // --- chaos engine: schedule generation and firing --------------------
@@ -237,8 +295,8 @@ TEST(ChaosEndToEnd, TransientNodeRejoinsMidChain) {
                                     cluster::kAnyRack, /*downtime=*/90.0});
   const auto r = s.run_chaos(strat(Strategy::kRcmpSplit), sched);
   ASSERT_TRUE(r.completed);
-  EXPECT_EQ(s.chaos()->counts().transients, 1u);
-  EXPECT_EQ(s.chaos()->counts().recoveries, 1u);
+  EXPECT_EQ(s.injector()->counts().transients, 1u);
+  EXPECT_EQ(s.injector()->counts().recoveries, 1u);
   EXPECT_EQ(r.nodes_recovered, 1u);  // middleware saw the rejoin
   EXPECT_TRUE(s.final_output_checksum() == ref);
 }
@@ -251,7 +309,7 @@ TEST(ChaosEndToEnd, DiskOnlyLossCascadesWhileNodeComputes) {
   sched.events.push_back(FaultEvent{FaultMode::kDisk, 3, 15.0});
   const auto r = s.run_chaos(strat(Strategy::kRcmpSplit), sched);
   ASSERT_TRUE(r.completed);
-  EXPECT_EQ(s.chaos()->counts().disk_failures, 1u);
+  EXPECT_EQ(s.injector()->counts().disk_failures, 1u);
   // Losing a disk full of replication-1 intermediate outputs forces a
   // recomputation replan, but the node itself never leaves the cluster.
   EXPECT_GE(r.replans, 1u);
@@ -267,7 +325,7 @@ TEST(ChaosEndToEnd, ComputeOnlyLossNeverTriggersRecomputation) {
   sched.events.push_back(FaultEvent{FaultMode::kCompute, 3, 15.0});
   const auto r = s.run_chaos(strat(Strategy::kRcmpSplit), sched);
   ASSERT_TRUE(r.completed);
-  EXPECT_EQ(s.chaos()->counts().compute_failures, 1u);
+  EXPECT_EQ(s.injector()->counts().compute_failures, 1u);
   // Every persisted byte survives a TaskTracker death: no data loss,
   // no replan — the job finishes on the remaining slots.
   EXPECT_EQ(r.replans, 0u);
@@ -283,7 +341,7 @@ TEST(ChaosEndToEnd, DfsCorruptionIsCaughtAtMapReadTime) {
       FaultEvent{FaultMode::kCorruptPartition, 3, 5.0});
   const auto r = s.run_chaos(strat(Strategy::kRcmpSplit), sched);
   ASSERT_TRUE(r.completed);
-  EXPECT_EQ(s.chaos()->counts().corrupt_partitions, 1u);
+  EXPECT_EQ(s.injector()->counts().corrupt_partitions, 1u);
   EXPECT_GE(sum_corrupt_blocks(r), 1u);
   EXPECT_GE(r.replans, 1u);  // corrupt input => abort + recompute
   EXPECT_TRUE(s.final_output_checksum() == ref);
@@ -308,7 +366,7 @@ TEST(ChaosEndToEnd, MapOutputCorruptionIsCaughtAtShuffleTime) {
   }
   const auto r = s.run_chaos(strat(Strategy::kRcmpSplit), sched);
   ASSERT_TRUE(r.completed);
-  EXPECT_GE(s.chaos()->counts().corrupt_map_outputs, 1u);
+  EXPECT_GE(s.injector()->counts().corrupt_map_outputs, 1u);
   EXPECT_GE(sum_corrupt_map_outputs(r), 1u);
   EXPECT_TRUE(s.final_output_checksum() == ref);
 }
@@ -334,7 +392,7 @@ TEST(ChaosEndToEnd, NestedFailuresOnMultiRackTopology) {
                                     cluster::kInvalidNode, /*rack=*/1});
   const auto r = s.run_chaos(strat(Strategy::kRcmpSplit), sched);
   ASSERT_TRUE(r.completed);
-  EXPECT_GE(s.chaos()->counts().rack_events, 1u);
+  EXPECT_GE(s.injector()->counts().rack_events, 1u);
   EXPECT_GE(r.failures_observed, 3u);
   EXPECT_GE(r.replans, 2u);  // nested: replan during recomputation
   EXPECT_TRUE(s.final_output_checksum() == ref);
@@ -366,7 +424,7 @@ TEST(ChaosEndToEnd, MixedFiveModeCampaignUnderRcmpSplit) {
                                     cluster::kInvalidNode, /*rack=*/1});
   const auto r = s.run_chaos(strat(Strategy::kRcmpSplit), sched);
   ASSERT_TRUE(r.completed);
-  const auto& counts = s.chaos()->counts();
+  const auto& counts = s.injector()->counts();
   EXPECT_GE(counts.transients, 1u);
   EXPECT_GE(counts.disk_failures, 1u);
   EXPECT_GE(counts.compute_failures, 1u);

@@ -1,11 +1,12 @@
 // Unit tests for cluster topology, kill semantics, failure injection
-// and failure-trace generation.
+// (the paper's failure plan as a kill_schedule on the chaos engine) and
+// failure-trace generation.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
+#include "cluster/chaos.hpp"
 #include "cluster/cluster.hpp"
-#include "cluster/failure_injector.hpp"
 #include "cluster/failure_trace.hpp"
 
 namespace rcmp::cluster {
@@ -66,7 +67,10 @@ TEST(Cluster, KillUpdatesStateAndNotifies) {
   Fixture f;
   Cluster c(f.sim, f.net, small_spec());
   std::vector<NodeId> killed;
-  c.on_kill([&](NodeId n) { killed.push_back(n); });
+  c.on_failure([&](const FailureEvent& ev) {
+    EXPECT_TRUE(ev.whole_node());
+    killed.push_back(ev.node);
+  });
   c.kill(2);
   EXPECT_FALSE(c.alive(2));
   EXPECT_EQ(c.alive_count(), 3u);
@@ -85,8 +89,8 @@ TEST(Cluster, KillHandlersRunInRegistrationOrder) {
   Fixture f;
   Cluster c(f.sim, f.net, small_spec());
   std::vector<int> order;
-  c.on_kill([&](NodeId) { order.push_back(1); });
-  c.on_kill([&](NodeId) { order.push_back(2); });
+  c.on_failure([&](const FailureEvent&) { order.push_back(1); });
+  c.on_failure([&](const FailureEvent&) { order.push_back(2); });
   c.kill(0);
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
@@ -188,12 +192,14 @@ TEST(Cluster, MemoryToMemorySameNodeIsFree) {
   EXPECT_TRUE(c.path_transfer(1, 1, false, false).links.empty());
 }
 
+// The paper's failure plan runs on the chaos engine as a kill_schedule.
+
 TEST(FailureInjector, KillsAfterDelay) {
   Fixture f;
   Cluster c(f.sim, f.net, small_spec());
   FailurePlan plan;
   plan.at_job_ordinals = {1};
-  FailureInjector inj(c, plan, 42);
+  ChaosEngine inj(c, kill_schedule(plan, c.size()), 42);
   inj.notify_job_start(1);
   f.sim.run_until(14.9);
   EXPECT_EQ(c.alive_count(), 4u);
@@ -207,7 +213,7 @@ TEST(FailureInjector, IgnoresOtherOrdinals) {
   Cluster c(f.sim, f.net, small_spec());
   FailurePlan plan;
   plan.at_job_ordinals = {3};
-  FailureInjector inj(c, plan, 42);
+  ChaosEngine inj(c, kill_schedule(plan, c.size()), 42);
   inj.notify_job_start(1);
   inj.notify_job_start(2);
   f.sim.run();
@@ -222,7 +228,7 @@ TEST(FailureInjector, DoubleFailureSameJobStaggered) {
   Cluster c(f.sim, f.net, small_spec());
   FailurePlan plan;
   plan.at_job_ordinals = {2, 2};
-  FailureInjector inj(c, plan, 42);
+  ChaosEngine inj(c, kill_schedule(plan, c.size()), 42);
   inj.notify_job_start(2);
   f.sim.run_until(15.1);
   EXPECT_EQ(inj.injected(), 1u);
@@ -238,7 +244,7 @@ TEST(FailureInjector, PicksOnlyAliveVictims) {
   Cluster c(f.sim, f.net, spec);
   FailurePlan plan;
   plan.at_job_ordinals = {1, 1};
-  FailureInjector inj(c, plan, 7);
+  ChaosEngine inj(c, kill_schedule(plan, c.size()), 7);
   inj.notify_job_start(1);
   f.sim.run();
   EXPECT_EQ(inj.injected(), 2u);

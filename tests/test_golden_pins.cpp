@@ -105,7 +105,7 @@ TEST(GoldenPin, ScenarioRunChaosDrawsChaosSeed) {
   schedule.events.push_back(random_victim(FaultMode::kKill, 3));
   schedule.events.push_back(random_victim(FaultMode::kCompute, 4));
   const auto r = s.run_chaos(strat(Strategy::kRcmpSplit), schedule);
-  EXPECT_EQ(s.chaos()->counts().injected(), 3u);
+  EXPECT_EQ(s.injector()->counts().injected(), 3u);
   expect_pin(r, s.final_output_checksum(),
              {0x1.3b599d77b54c3p+7, 8, 1, 0, kChainSum});
 }
@@ -207,7 +207,7 @@ TEST(GoldenPin, DiskLossShrinksReplicasOfPendingMaps) {
   FaultSchedule schedule;
   schedule.events.push_back(fixed_victim(FaultMode::kDisk, 1, 15.1, 3));
   const auto r = s.run_chaos(strat(Strategy::kRcmpSplit), schedule);
-  EXPECT_EQ(s.chaos()->counts().injected(), 1u);
+  EXPECT_EQ(s.injector()->counts().injected(), 1u);
   expect_pin(r, s.final_output_checksum(),
              {0x1.394b306db63dcp+6, 5, 0, 0, kChainSum});
   expect_trace_md5(s, "e6d8e18fc8d4d00e659883627f32dbf1");

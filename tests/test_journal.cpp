@@ -155,7 +155,7 @@ TEST(JournalRecovery, ChaosMasterCrashRecoversByteIdentical) {
   const auto r = s.run_chaos(strat(Strategy::kRcmpSplit), schedule);
   ASSERT_TRUE(r.completed);
   EXPECT_EQ(r.master_crashes, 1u);
-  EXPECT_EQ(s.chaos()->counts().master_crashes, 1u);
+  EXPECT_EQ(s.injector()->counts().master_crashes, 1u);
   EXPECT_TRUE(s.final_output_checksum() == reference);
   EXPECT_EQ(s.obs().metrics.counter("master.recovery.crashes"), 1u);
   EXPECT_EQ(s.obs().metrics.counter("master.recovery.replays"), 1u);

@@ -196,6 +196,109 @@ TEST(Middleware, ReclamationStillRecoverable) {
   EXPECT_EQ(sc.final_output_checksum(), ref);
 }
 
+// A payload chain of three jobs whose second output is the replication
+// point (x2) and whose first output is reclaimed once the point lands.
+// While job 3 runs, both replica holders of one block of the point die:
+// recomputing that block would read the reclaimed first output, so
+// recovery falls back to a full restart. With `crash_master` the
+// coordinator crashes right after the kills, before detection, and the
+// journal replay reaches the same fallback.
+void expect_reclaimed_input_restarts(bool crash_master) {
+  workloads::MultiScenarioConfig cfg;
+  cfg.base = testfx::chaos_config(8, 3);  // input x4 outlives two kills
+  cfg.base.journal = crash_master;
+  cfg.chains = 1;
+  workloads::MultiScenario ms(cfg);
+  StrategyConfig sc = strat(Strategy::kRcmpSplit);
+  sc.hybrid_every = 2;
+  sc.reclaim_after_replication = true;
+  ms.start(sc);
+  core::Middleware& mw = ms.middleware(0);
+  SimTime t = 0.0;
+  while (ms.dfs().file_exists(mw.output_file(0))) {
+    ASSERT_FALSE(mw.finished()) << "chain finished before the reclaim";
+    t += 0.5;
+    ms.sim().run_until(t);
+  }
+  ASSERT_FALSE(mw.finished());
+  const dfs::FileId point = mw.output_file(1);
+  ASSERT_EQ(ms.dfs().replication(point), 2u);
+  const auto& blocks = ms.dfs().partition(point, 0).blocks;
+  ASSERT_FALSE(blocks.empty());
+  const auto holders = ms.dfs().block(blocks.front()).replicas;
+  ASSERT_EQ(holders.size(), 2u);
+  for (const cluster::NodeId n : holders) ms.cluster().kill(n);
+  ASSERT_FALSE(ms.dfs().partition_available(point, 0));
+  ASSERT_TRUE(ms.dfs().file_available(ms.input_file(0)));
+  if (crash_master) {
+    ASSERT_TRUE(ms.crash_master());
+  }
+  const auto results = ms.finish();
+
+  const core::ChainResult& r = results.front();
+  ASSERT_TRUE(r.completed);
+  EXPECT_GE(r.restarts, 1u);
+  EXPECT_EQ(r.master_crashes, crash_master ? 1u : 0u);
+  const auto input =
+      testfx::gather_records(ms.payloads(), ms.dfs(), ms.input_file(0));
+  EXPECT_EQ(ms.final_output_checksum(0),
+            testfx::oracle_checksum(input, cfg.base.chain_length));
+}
+
+TEST(Middleware, ReplanFallsBackToRestartWhenInputWasReclaimed) {
+  expect_reclaimed_input_restarts(/*crash_master=*/false);
+}
+
+TEST(Middleware, JournalRecoveryFallsBackToRestartWhenInputWasReclaimed) {
+  expect_reclaimed_input_restarts(/*crash_master=*/true);
+}
+
+TEST(Middleware, ChainAdmittedAfterItsSourceIsLostFailsInsteadOfWedging) {
+  // Two chains, one admitted at a time, inputs without replicas: the
+  // kill 20 s into the first job takes one partition of both inputs.
+  // The running chain replans, finds its source lost and gives up; the
+  // waiting chain is admitted only then, with its source already lost,
+  // and must give up the same way instead of holding its first job.
+  workloads::MultiScenarioConfig cfg;
+  cfg.base = workloads::tiny_config(5, 3);
+  cfg.base.input_replication = 1;
+  cfg.base.seed = 42;
+  cfg.base.trace_capacity = 1 << 16;
+  cfg.chains = 2;
+  cfg.max_concurrent = 1;
+  workloads::MultiScenario ms(cfg);
+  cluster::FaultSchedule schedule;
+  cluster::FaultEvent kill;
+  kill.at_job_ordinal = 1;
+  kill.delay = 20.0;
+  schedule.events.push_back(kill);
+  const auto results = ms.run_chaos(StrategyConfig{}, schedule);
+
+  // Precondition: the second chain is admitted after the kill, and no
+  // node rejoins, so its source is unavailable at admission.
+  SimTime killed_at = -1.0;
+  SimTime admitted_at = -1.0;
+  for (const obs::TraceEvent& e : ms.obs().tracer.events()) {
+    const auto type = static_cast<obs::EventType>(e.type);
+    if (type == obs::EventType::kFailure) killed_at = e.time;
+    if (type == obs::EventType::kChainAdmit && e.chain == 2) {
+      admitted_at = e.time;
+    }
+    EXPECT_NE(type, obs::EventType::kRecovery);
+  }
+  ASSERT_GE(killed_at, 0.0);
+  EXPECT_LT(killed_at, admitted_at);
+  EXPECT_FALSE(ms.dfs().file_available(ms.input_file(1)));
+
+  ASSERT_EQ(results.size(), 2u);
+  for (const core::ChainResult& r : results) {
+    EXPECT_FALSE(r.completed);
+    EXPECT_EQ(r.fail_reason, core::ChainResult::FailReason::kSourceDataLost);
+    EXPECT_EQ(r.restarts, 1u);
+  }
+  EXPECT_EQ(results[1].jobs_started, 0u);
+}
+
 TEST(Middleware, PeakStorageScalesWithReplication) {
   Bytes p1, p3;
   {
